@@ -4,19 +4,26 @@ Claim: MDA tooling rests on MOF/XMI interchange; a round trip must be
 lossless (stable fixed point) and scale with model size.
 
 Measured: XML and JSON round-trip stability, document size and time
-across a model-size sweep.
+across a model-size sweep, and XML load cost per element on generated
+demo corpora from 10^3 to 10^5 elements (10^5 is skipped under
+``REPRO_BENCH_QUICK=1``).
 """
 
+import os
 import time
 
 import pytest
 
+from repro.generate import demo_package, generate_model
 from repro.mof import Model
 from repro.uml import UML
 from repro.xmi import read_json, read_xml, write_json, write_xml
 from workloads import make_sized_pim
 
 SIZES = [25, 50, 100, 200]
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
+LOAD_SIZES = [1000, 10_000] if QUICK else [1000, 10_000, 100_000]
+LOAD_REPEATS = 3
 
 
 def wrap(size):
@@ -69,3 +76,30 @@ def test_e10_json_roundtrip_cost(benchmark):
         return read_json(write_json(model), [UML])
     loaded = benchmark(roundtrip)
     assert loaded.roots
+
+
+def test_e10_load_cost_per_element_is_flat():
+    """Load must be linear in model size: the per-element cost at 10^4
+    elements stays within 1.5x of the cost at 10^3 (best of 3 each)."""
+    packages = [UML, demo_package()]
+    print("\nE10: XML load of generated demo corpora "
+          f"(best of {LOAD_REPEATS})")
+    print(f"{'elements':>9} {'xml MiB':>8} {'load s':>8} {'us/elem':>8}")
+    us_per_element = {}
+    for size in LOAD_SIZES:
+        model = generate_model("demo", size=size, seed=0).model
+        text = write_xml(model)
+        elements = sum(1 for _ in model.all_elements())
+        del model
+        best = float("inf")
+        for _ in range(LOAD_REPEATS):
+            started = time.perf_counter()
+            loaded = read_xml(text, packages)
+            best = min(best, time.perf_counter() - started)
+            assert sum(1 for _ in loaded.all_elements()) == elements
+            del loaded
+        us_per_element[size] = best / elements * 1e6
+        print(f"{elements:>9} {len(text) / 2**20:>8.2f} {best:>8.3f} "
+              f"{us_per_element[size]:>8.1f}")
+    assert us_per_element[10_000] <= 1.5 * us_per_element[1000], \
+        us_per_element

@@ -36,6 +36,7 @@ import itertools
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .. import faults as _faults
+from . import notify as _notify_mod
 from .errors import (
     CompositionError,
     FrozenElementError,
@@ -221,13 +222,12 @@ class Feature:
         self.name: str = ""            # assigned by __set_name__ / builder
         self.owner: Optional[MetaClass] = None
         self.multiplicity = multiplicity
+        # Multiplicity is frozen, so many-ness is fixed at construction; a
+        # plain attribute keeps the hottest test in the kernel a dict load.
+        self.many: bool = multiplicity.is_many
         self.ordered = ordered
         self.derived = derived
         self.doc = doc
-
-    @property
-    def many(self) -> bool:
-        return self.multiplicity.is_many
 
     @property
     def required(self) -> bool:
@@ -562,20 +562,35 @@ class MetaClass:
 # Managed collections for many-valued features
 # ---------------------------------------------------------------------------
 
+SIDECAR_MIN = 8
+"""A reference :class:`FeatureList` longer than this keeps an identity
+membership sidecar (see :class:`FeatureList`)."""
+
+
 class FeatureList:
     """The live value of a many-valued feature.
 
     Mutations go through the kernel's link/unlink protocol so that opposites
     and containment stay consistent.  Values are unique (MOF default): adding
     a value already present is a no-op.
+
+    A reference list holding more than :data:`SIDECAR_MIN` items also keeps
+    ``_ids``, the set of ``id()`` of its items, so membership tests stay O(1)
+    on long lists; shorter lists (nearly all of them) keep ``_ids`` at
+    ``None`` and answer from a scan.  Elements compare by identity, so both
+    answers agree.  ``_raw_add``/``_raw_remove`` are the only writers of a
+    reference list's ``_items``; they build ``_ids`` when the list grows
+    past the threshold, drop it when it shrinks back, and otherwise keep
+    ``_ids == {id(v) for v in _items}``.
     """
 
-    __slots__ = ("_owner", "_feature", "_items")
+    __slots__ = ("_owner", "_feature", "_items", "_ids")
 
     def __init__(self, owner: "Element", feature: Feature):
         self._owner = owner
         self._feature = feature
         self._items: List[Any] = []
+        self._ids: Optional[set] = None
 
     # -- reading ----------------------------------------------------------
 
@@ -586,7 +601,10 @@ class FeatureList:
         return iter(list(self._items))
 
     def __contains__(self, value: Any) -> bool:
-        return any(v is value or v == value for v in self._items)
+        ids = self._ids
+        if ids is not None:
+            return id(value) in ids
+        return value in self._items
 
     def __getitem__(self, index):
         return self._items[index]
@@ -631,9 +649,8 @@ class FeatureList:
             _check_mutable(self._owner)
             index = self._items.index(value)
             self._items.pop(index)
-            self._owner._notify(Notification(
-                self._owner, self._feature, ChangeKind.REMOVE, old=value,
-                position=index))
+            _emit(self._owner, self._feature, ChangeKind.REMOVE, old=value,
+                  position=index)
 
     def discard(self, value: Any) -> None:
         if value in self:
@@ -658,9 +675,8 @@ class FeatureList:
             return
         self._items.pop(old_index)
         self._items.insert(new_index, value)
-        self._owner._notify(Notification(
-            self._owner, self._feature, ChangeKind.MOVE,
-            old=old_index, new=value, position=new_index))
+        _emit(self._owner, self._feature, ChangeKind.MOVE,
+              old=old_index, new=value, position=new_index)
 
     def set(self, values: Iterable[Any]) -> None:
         """Replace the whole content."""
@@ -684,9 +700,8 @@ class FeatureList:
         else:
             _check_mutable(self._owner)
             self._items.insert(index, value)
-            self._owner._notify(Notification(
-                self._owner, self._feature, ChangeKind.ADD,
-                new=value, position=index))
+            _emit(self._owner, self._feature, ChangeKind.ADD,
+                  new=value, position=index)
 
 
 # ---------------------------------------------------------------------------
@@ -706,31 +721,90 @@ def _slot_list(obj: "Element", feature: Feature) -> FeatureList:
     return slot
 
 
-def _raw_remove(obj: "Element", feature: Feature, value: "Element") -> None:
-    """Remove *value* from *obj*'s slot for *feature* without side effects."""
-    if feature.many:
-        items = _slot_list(obj, feature)._items
-        for i, item in enumerate(items):
-            if item is value:
-                items.pop(i)
-                break
-    else:
+def _emit(element: "Element", feature: Feature, kind: ChangeKind,
+          old: Any = None, new: Any = None,
+          position: Optional[int] = None) -> None:
+    """Announce one change of *element*'s *feature* to whoever listens.
+
+    The listeners, in dispatch order, are the process-wide notify hook
+    (which an open transaction installs), *element*'s own observers, and
+    the observers of the model that *element*'s root belongs to.  The
+    :class:`Notification` is built only when at least one of them exists,
+    so a subtree built outside any model, transaction or trace costs no
+    allocation per write.  The root walk (and the :data:`CONTAINER_KEY`
+    reads it reports) happens on every change, listener or not.
+    """
+    model = element.root()._model
+    hook = _notify_mod._NOTIFY_HOOK
+    observers = element._observers
+    if hook is None and not observers \
+            and (model is None or not model._observers):
+        return
+    notification = Notification(element, feature, kind, old, new, position)
+    if hook is not None:
+        hook(notification)
+    if observers:
+        # Iterate over a snapshot (observers may register/unregister while
+        # we dispatch) but re-check live membership before each call: an
+        # observer detached by an earlier observer must not receive the
+        # notification it asked to stop seeing.
+        for observer in tuple(observers):
+            if observer in observers:
+                observer(notification)
+    if model is not None:
+        model._element_changed(notification)
+
+
+def _raw_remove(obj: "Element", feature: Feature,
+                value: "Element") -> Optional[int]:
+    """Remove *value* from *obj*'s slot for *feature* without side effects;
+    return the index it held in a many-valued slot (``None`` otherwise)."""
+    if not feature.many:
         if obj._slots.get(feature.name) is value:
             obj._slots[feature.name] = None
+        return None
+    slot = _slot_list(obj, feature)
+    if value not in slot:
+        return None
+    items = slot._items
+    index = items.index(value)
+    items.pop(index)
+    ids = slot._ids
+    if ids is not None:
+        if len(items) > SIDECAR_MIN:
+            ids.discard(id(value))
+        else:
+            slot._ids = None
+    return index
 
 
 def _raw_add(obj: "Element", feature: Feature, value: "Element",
-             position: Optional[int] = None) -> None:
-    """Add *value* to *obj*'s slot for *feature* without side effects."""
-    if feature.many:
-        items = _slot_list(obj, feature)._items
-        if not any(item is value for item in items):
-            if position is None:
-                items.append(value)
-            else:
-                items.insert(position, value)
-    else:
+             position: Optional[int] = None) -> Optional[int]:
+    """Add *value* to *obj*'s slot for *feature* without side effects.
+
+    Returns the index *value* holds in a many-valued slot when it was
+    appended or already present (``None`` for single-valued slots and
+    explicit *position* inserts, whose callers know where they asked).
+    """
+    if not feature.many:
         obj._slots[feature.name] = value
+        return None
+    slot = _slot_list(obj, feature)
+    items = slot._items
+    if value in slot:
+        return items.index(value)
+    if position is None:
+        index = len(items)
+        items.append(value)
+    else:
+        index = None
+        items.insert(position, value)
+    ids = slot._ids
+    if ids is not None:
+        ids.add(id(value))
+    elif len(items) > SIDECAR_MIN:
+        slot._ids = {id(item) for item in items}
+    return index
 
 
 def _ancestors(obj: "Element") -> Iterator["Element"]:
@@ -738,16 +812,6 @@ def _ancestors(obj: "Element") -> Iterator["Element"]:
     while current is not None:
         yield current
         current = current._container
-
-
-def _index_of(obj: "Element", feature: Reference,
-              value: "Element") -> Optional[int]:
-    slot = obj._slots.get(feature.name)
-    if isinstance(slot, FeatureList):
-        for i, item in enumerate(slot._items):
-            if item is value:
-                return i
-    return None
 
 
 def _unlink(source: "Element", feature: Reference, target: "Element",
@@ -764,12 +828,13 @@ def _unlink(source: "Element", feature: Reference, target: "Element",
         # the inverse slot mutates too; a frozen target must veto the whole
         # operation before either side changes
         _check_mutable(target)
-    position = _index_of(source, feature, target) if feature.many else None
-    opp_position = (_index_of(target, opposite, source)
-                    if opposite is not None and opposite.many else None)
-    _raw_remove(source, feature, target)
-    if opposite is not None:
-        _raw_remove(target, opposite, source)
+    position = _raw_remove(source, feature, target)
+    if opposite is None:
+        opp_position = None
+    elif opposite is feature and source is target:
+        opp_position = position     # a symmetric self-link is one entry
+    else:
+        opp_position = _raw_remove(target, opposite, source)
     if feature.containment and target._container is source:
         target._container = None
         target._containing_feature = None
@@ -779,12 +844,10 @@ def _unlink(source: "Element", feature: Reference, target: "Element",
         source._containing_feature = None
     if notify:
         kind = ChangeKind.REMOVE if feature.many else ChangeKind.UNSET
-        source._notify(Notification(source, feature, kind, old=target,
-                                    position=position))
+        _emit(source, feature, kind, old=target, position=position)
         if opposite is not None:
             okind = ChangeKind.REMOVE if opposite.many else ChangeKind.UNSET
-            target._notify(Notification(target, opposite, okind, old=source,
-                                        position=opp_position))
+            _emit(target, opposite, okind, old=source, position=opp_position)
 
 
 def _link(source: "Element", feature: Reference, target: "Element",
@@ -832,8 +895,10 @@ def _link(source: "Element", feature: Reference, target: "Element",
         source._detach()
 
     _raw_add(source, feature, target, position)
-    if opposite is not None:
-        _raw_add(target, opposite, source)
+    # The inverse slot always appends, but rollback needs the actual index
+    # to restore ordered opposite lists faithfully.
+    opp_position = (_raw_add(target, opposite, source)
+                    if opposite is not None else None)
     if feature.containment:
         target._container = source
         target._containing_feature = feature
@@ -842,16 +907,10 @@ def _link(source: "Element", feature: Reference, target: "Element",
         source._containing_feature = opposite
 
     kind = ChangeKind.ADD if feature.many else ChangeKind.SET
-    source._notify(Notification(source, feature, kind, new=target,
-                                position=position))
+    _emit(source, feature, kind, new=target, position=position)
     if opposite is not None:
         okind = ChangeKind.ADD if opposite.many else ChangeKind.SET
-        # The inverse slot always appends, but rollback needs the actual
-        # index to restore ordered opposite lists faithfully.
-        opp_position = (_index_of(target, opposite, source)
-                        if opposite.many else None)
-        target._notify(Notification(target, opposite, okind, new=source,
-                                    position=opp_position))
+        _emit(target, opposite, okind, new=source, position=opp_position)
 
 
 def _get_value(obj: "Element", feature: Feature) -> Any:
@@ -905,7 +964,7 @@ def _set_value(obj: "Element", feature: Feature, value: Any) -> None:
         return
     obj._slots[feature.name] = value
     kind = ChangeKind.SET if value is not None else ChangeKind.UNSET
-    obj._notify(Notification(obj, feature, kind, old=old, new=value))
+    _emit(obj, feature, kind, old=old, new=value)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +1159,6 @@ class Element(ObserverMixin, metaclass=MofMeta):
         if recursive:
             for child in self.contents():
                 child.unfreeze(recursive=True)
-
-    # -- notification forwarding ---------------------------------------------
-
-    def _notification_sink(self, notification: Notification) -> None:
-        model = getattr(self.root(), "_model", None)
-        if model is not None:
-            model._element_changed(notification)
 
     # -- misc --------------------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Transformations, trace recorders and animators need to observe model
 mutations.  Every successful high-level mutation of a feature emits a
-:class:`Notification` to observers registered on the touched element (and to
-repository-wide observers when the element belongs to a repository-attached
-model).
+:class:`Notification` to the process-wide hook, to observers registered on
+the touched element, and to model-wide observers when the element belongs
+to a model.  When none of those exists the kernel skips building the
+notification altogether (see ``repro.mof.kernel._emit``).
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def set_notify_hook(hook: Optional[Observer]) -> Optional[Observer]:
 
 
 class ObserverMixin:
-    """Gives an element an observer list and a ``_notify`` hook.
+    """Gives an element an observer list.
 
     Observers are stored lazily: most elements are never observed and should
-    not pay for an empty list.
+    not pay for an empty list.  The kernel's ``_emit`` dispatches to them.
     """
 
     _observers: Optional[List[Observer]]
@@ -84,22 +85,6 @@ class ObserverMixin:
         observers = getattr(self, "_observers", None)
         if observers and observer in observers:
             observers.remove(observer)
-
-    def _notify(self, notification: Notification) -> None:
-        if _NOTIFY_HOOK is not None:
-            _NOTIFY_HOOK(notification)
-        observers = getattr(self, "_observers", None)
-        if observers:
-            # Iterate over a snapshot (observers may register/unregister
-            # while we dispatch) but re-check live membership before each
-            # call: an observer detached by an earlier observer must not
-            # receive the notification it asked to stop seeing.
-            for observer in tuple(observers):
-                if observer in observers:
-                    observer(notification)
-        forward = getattr(self, "_notification_sink", None)
-        if forward is not None:
-            forward(notification)
 
 
 class ChangeRecorder:

@@ -158,7 +158,7 @@ class Model:
 
     def _element_changed(self, notification: Notification) -> None:
         # snapshot + live-membership check: observers detached while the
-        # dispatch is in flight must not be called (see ObserverMixin._notify)
+        # dispatch is in flight must not be called (see kernel._emit)
         observers = self._observers
         for observer in tuple(observers):
             if observer in observers:

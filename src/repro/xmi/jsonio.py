@@ -7,11 +7,18 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..mof.errors import RepositoryError
-from ..mof.kernel import Attribute, Element, MetaPackage, Reference
+from ..mof.kernel import (
+    Attribute,
+    Element,
+    MetaPackage,
+    Reference,
+    _get_value,
+    _set_value,
+)
 from ..mof.repository import Model, Repository
 from ..obs import trace as _trace
 from .ids import assign_ids
-from .reader import TypeRegistry, _stereotype_registry
+from .reader import TypeRegistry, _stereotype_registry, resolve_references
 from .writer import _observe_io, _should_serialize, _type_label
 
 
@@ -116,7 +123,7 @@ class JsonReader:
         self._pending.clear()
         for root_dict in document.get("roots", []):
             model.add_root(self._build(root_dict))
-        self._resolve()
+        resolve_references(self._pending, self._by_id)
         return model
 
     def _build(self, data: Dict[str, Any]) -> Element:
@@ -132,9 +139,9 @@ class JsonReader:
                 raise RepositoryError(f"'{metaclass.name}' has no attribute "
                                       f"{name!r}")
             if feature.many:
-                element.eget(name).extend(value)
+                _get_value(element, feature).extend(value)
             else:
-                element.eset(name, value)
+                _set_value(element, feature, value)
         for name, child_dicts in data.get("children", {}).items():
             feature = metaclass.find_feature(name)
             if not isinstance(feature, Reference) or not feature.containment:
@@ -143,9 +150,9 @@ class JsonReader:
             for child_dict in child_dicts:
                 child = self._build(child_dict)
                 if feature.many:
-                    element.eget(name).append(child)
+                    _get_value(element, feature).append(child)
                 else:
-                    element.eset(name, child)
+                    _set_value(element, feature, child)
         for name, target_ids in data.get("refs", {}).items():
             self._pending.append((element, name, target_ids))
         for stereotype_dict in data.get("stereotypes", []):
@@ -158,31 +165,6 @@ class JsonReader:
                     f"the reader")
             stereotype.apply(element, **stereotype_dict.get("values", {}))
         return element
-
-    def _resolve(self) -> None:
-        for element, name, target_ids in self._pending:
-            feature = element.meta.find_feature(name)
-            if not isinstance(feature, Reference):
-                raise RepositoryError(f"'{element.meta.name}' has no "
-                                      f"reference {name!r}")
-            targets = []
-            for target_id in target_ids:
-                target = self._by_id.get(target_id)
-                if target is None:
-                    raise RepositoryError(f"dangling reference {target_id!r}")
-                targets.append(target)
-            if feature.many:
-                collection = element.eget(name)
-                for target in targets:
-                    if target not in collection:
-                        collection.append(target)
-                # restore the serialized order (opposites may have
-                # pre-populated the collection in document order)
-                for position, target in enumerate(targets):
-                    if collection[position] is not target:
-                        collection.move(position, target)
-            elif targets and element.eget(name) is not targets[0]:
-                element.eset(name, targets[0])
 
 
 def read_json(text: str, packages: Iterable[MetaPackage], *,

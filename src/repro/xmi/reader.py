@@ -19,6 +19,8 @@ from ..mof.kernel import (
     MetaClass,
     MetaPackage,
     Reference,
+    _get_value,
+    _set_value,
 )
 from ..mof.repository import Model, Repository
 from ..obs import trace as _trace
@@ -65,7 +67,11 @@ class XmiReader:
         for node in doc:
             if node.tag == ROOT_TAG:
                 model.add_root(self._build_element(node))
-        self._resolve_references()
+        # split lazily: holding every split id list at once adds several
+        # MB of peak memory on a 20k-element document
+        resolve_references(((element, name, raw.split())
+                            for element, name, raw in self._pending_refs),
+                           self._by_id)
         return model
 
     # -- phase 1: containment tree ---------------------------------------
@@ -85,7 +91,7 @@ class XmiReader:
                 continue
             feature = metaclass.find_feature(key)
             if isinstance(feature, Attribute):
-                element.eset(key, feature.type.coerce(raw))
+                _set_value(element, feature, feature.type.coerce(raw))
         for child in node:
             if child.tag == STEREOTYPE_TAG:
                 self._apply_stereotype(element, child)
@@ -95,7 +101,7 @@ class XmiReader:
                 feature = metaclass.find_feature(feature_name)
                 if isinstance(feature, Attribute):
                     value = feature.type.coerce(child.text or "")
-                    element.eget(feature_name).append(value)
+                    _get_value(element, feature).append(value)
                 continue
             feature = metaclass.find_feature(child.tag)
             if not isinstance(feature, Reference) or not feature.containment:
@@ -104,9 +110,9 @@ class XmiReader:
                     f"{child.tag!r}")
             child_element = self._build_element(child)
             if feature.many:
-                element.eget(child.tag).append(child_element)
+                _get_value(element, feature).append(child_element)
             else:
-                element.eset(child.tag, child_element)
+                _set_value(element, feature, child_element)
         return element
 
     def _apply_stereotype(self, element: Element,
@@ -126,36 +132,38 @@ class XmiReader:
                            if definition is not None else raw)
         stereotype.apply(element, **values)
 
-    # -- phase 2: cross references ------------------------------------------
 
-    def _resolve_references(self) -> None:
-        for element, feature_name, raw in self._pending_refs:
-            feature = element.meta.find_feature(feature_name)
-            if not isinstance(feature, Reference):
+def resolve_references(pending: Iterable[tuple],
+                       by_id: Dict[str, Element]) -> None:
+    """Phase 2 of both readers: link each ``(element, feature_name,
+    target_ids)`` in *pending* to the elements *by_id* names.
+
+    A many-valued feature ends up holding its targets in serialized order
+    even when opposites already linked some of them in document order.
+    """
+    for element, feature_name, target_ids in pending:
+        feature = element.meta.find_feature(feature_name)
+        if not isinstance(feature, Reference):
+            raise RepositoryError(
+                f"'{element.meta.name}' has no reference {feature_name!r}")
+        targets = []
+        for ref_id in target_ids:
+            target = by_id.get(ref_id)
+            if target is None:
                 raise RepositoryError(
-                    f"'{element.meta.name}' has no reference "
-                    f"{feature_name!r}")
-            targets = []
-            for ref_id in raw.split():
-                target = self._by_id.get(ref_id)
-                if target is None:
-                    raise RepositoryError(
-                        f"dangling reference {ref_id!r} in feature "
-                        f"'{feature_name}'")
-                targets.append(target)
-            if feature.many:
-                collection = element.eget(feature_name)
-                for target in targets:
-                    if target not in collection:
-                        collection.append(target)
-                # restore the serialized order (opposites may have
-                # pre-populated the collection in document order)
-                for position, target in enumerate(targets):
-                    if collection[position] is not target:
-                        collection.move(position, target)
-            elif targets:
-                if element.eget(feature_name) is not targets[0]:
-                    element.eset(feature_name, targets[0])
+                    f"dangling reference {ref_id!r} in feature "
+                    f"'{feature_name}'")
+            targets.append(target)
+        if feature.many:
+            collection = _get_value(element, feature)
+            for target in targets:
+                if target not in collection:
+                    collection.append(target)
+            for position, target in enumerate(targets):
+                if collection[position] is not target:
+                    collection.move(position, target)
+        elif targets and _get_value(element, feature) is not targets[0]:
+            _set_value(element, feature, targets[0])
 
 
 def _stereotype_registry(profiles: Iterable) -> Dict[str, object]:

@@ -3,9 +3,10 @@ kernel's two global invariants (opposite consistency, single container),
 and structural validation agrees."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.mof import validate_element
+from repro.mof import transaction, validate_element
+from repro.mof.kernel import SIDECAR_MIN, FeatureList
 from kernel_fixture import TBook, TChapter, TLibrary
 
 # A mutation script is a list of (op, indices) tuples interpreted over a
@@ -44,6 +45,29 @@ def apply_step(libs, books, step):
     elif op == "chapter":
         chapter = TChapter(name=f"ch{other_index}")
         book.chapters.append(chapter)
+    # the ops below only appear in the membership-sidecar scripts
+    elif op == "fill":
+        for candidate in books:
+            lib.books.append(candidate)
+    elif op == "clear":
+        lib.books.clear()
+    elif op == "reorder":
+        if book in lib.books:
+            lib.books.move(0, book)
+    elif op == "delete":
+        book.delete()
+    elif op == "abort":
+        with pytest.raises(_Abort):
+            with transaction():
+                for candidate in books:
+                    libs[(lib_index + 1) % N_LIBS].books.append(candidate)
+                lib.books.clear()
+                other.delete()
+                raise _Abort
+
+
+class _Abort(RuntimeError):
+    pass
 
 
 def check_global_invariants(libs, books):
@@ -108,3 +132,48 @@ def test_many_attribute_roundtrip(values):
         if value not in expected:
             expected.append(value)
     assert list(book.tags) == expected
+
+
+# Membership sidecars: long reference lists answer ``in`` from a set of
+# item ids.  A wider book population lets scripts push a library past
+# SIDECAR_MIN and back (fill/clear/delete/reparent/abort).
+
+N_SIDECAR_BOOKS = SIDECAR_MIN + 4
+
+sidecar_step = st.tuples(
+    st.sampled_from(["attach", "detach", "move", "chapter", "fill", "clear",
+                     "reorder", "delete", "abort"]),
+    st.integers(0, N_LIBS - 1),
+    st.integers(0, N_SIDECAR_BOOKS - 1),
+    st.integers(0, N_SIDECAR_BOOKS - 1))
+
+
+def check_membership_sidecars(pool):
+    for element in pool:
+        for slot in element._slots.values():
+            if not isinstance(slot, FeatureList) \
+                    or not slot._feature.is_reference:
+                continue
+            items = slot._items
+            assert (slot._ids is not None) == (len(items) > SIDECAR_MIN)
+            if slot._ids is not None:
+                assert slot._ids == {id(v) for v in items}
+            for candidate in pool:
+                assert (candidate in slot) == \
+                    any(v is candidate for v in items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(sidecar_step, max_size=20))
+@example([("fill", 0, 0, 1), ("reorder", 0, 9, 0), ("move", 0, 3, 0),
+          ("abort", 1, 0, 2), ("delete", 0, 4, 0), ("fill", 2, 0, 0),
+          ("clear", 2, 0, 0)] + [("chapter", 0, 5, 0)] * (SIDECAR_MIN + 2)
+         + [("abort", 0, 0, 5)])
+def test_membership_sidecar_tracks_items(script):
+    libs = [TLibrary(name=f"L{i}") for i in range(N_LIBS)]
+    books = [TBook(name=f"B{i}") for i in range(N_SIDECAR_BOOKS)]
+    for step in script:
+        apply_step(libs, books, step)
+        pool = libs + books + [c for b in books for c in b.chapters]
+        check_membership_sidecars(pool)
+    check_global_invariants(libs, books)

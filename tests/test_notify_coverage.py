@@ -484,6 +484,15 @@ class TestInverseSufficiency:
         assert len(adds) == 1
         assert adds[0].position == 2
 
+    def test_opposite_remove_notification_carries_position(self, lib):
+        books = [TBook(name=t) for t in ("x", "y", "z")]
+        for b in books:
+            lib.books.append(b)
+        recorder = record(lib)
+        books[1].library = None          # unset from the *book* side
+        n = last(recorder)
+        assert (n.kind, n.old, n.position) == (ChangeKind.REMOVE, books[1], 1)
+
     def test_frozen_veto_emits_nothing_to_undo(self, lib):
         """A vetoed mutation must not notify: if it did, rollback would
         'undo' a change that never happened."""
@@ -499,3 +508,146 @@ class TestInverseSufficiency:
             lib.unfreeze(recursive=False)
         assert len(recorder) == 0
         assert len(book_recorder) == 0
+
+
+# ---------------------------------------------------------------------------
+# Emission gate: notifications are built only for listeners
+# ---------------------------------------------------------------------------
+
+class _Abort(RuntimeError):
+    pass
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Notification the kernel constructs, in order."""
+    from repro.mof import kernel
+    made = []
+    real = kernel.Notification
+
+    def counting(*args, **kwargs):
+        notification = real(*args, **kwargs)
+        made.append(notification)
+        return notification
+
+    monkeypatch.setattr(kernel, "Notification", counting)
+    return made
+
+
+def build_shelf(n_books=12):
+    """A load-like detached build: construct, fill attributes, contain
+    children, then link cross references and reorder."""
+    lib = TLibrary(name="shelf")
+    books = [TBook(name=f"b{i}") for i in range(n_books)]
+    for i, book in enumerate(books):
+        book.pages = 10 + i
+        book.tags.append("t")
+        book.chapters.append(TChapter(name="c"))
+        lib.books.append(book)
+    books[0].sequel = books[1]
+    lib.featured = books[2]
+    lib.books.move(0, books[5])
+    return lib, books
+
+
+def stream(notifications):
+    return [(n.element, n.feature.name, n.kind, n.old, n.new, n.position)
+            for n in notifications]
+
+
+class TestEmissionGate:
+    def script(self, lib, book):
+        lib.books.append(book)
+        self.script_tail(lib, book)
+
+    def script_tail(self, lib, book):
+        book.pages = 7
+        book.tags.append("x")
+        lib.books.remove(book)
+
+    def expected(self, lib, book):
+        K = ChangeKind
+        return [(lib, "books", K.ADD, None, book, 0),
+                (book, "library", K.SET, None, lib, None),
+                (book, "pages", K.SET, 100, 7, None),
+                (book, "tags", K.ADD, None, "x", 0),
+                (lib, "books", K.REMOVE, book, None, 0),
+                (book, "library", K.UNSET, lib, None, None)]
+
+    def test_detached_build_without_listener_builds_nothing(self, built):
+        lib, books = build_shelf()
+        assert len(lib.books) == 12 and lib.books[0] is books[5]
+        assert built == []
+
+    def test_model_without_observers_builds_nothing(self, built, lib, book):
+        Model("urn:test:quiet").add_root(lib)
+        self.script(lib, book)
+        assert built == []
+
+    def test_notify_hook_sees_the_full_stream(self, built, lib, book):
+        from repro.mof import set_notify_hook
+        seen = []
+        previous = set_notify_hook(seen.append)
+        try:
+            self.script(lib, book)
+        finally:
+            set_notify_hook(previous)
+        assert stream(seen) == self.expected(lib, book)
+        assert built == seen
+
+    def test_element_observers_see_their_own_changes(self, built, lib, book):
+        on_lib, on_book = record(lib), record(book)
+        self.script(lib, book)
+        expected = self.expected(lib, book)
+        assert stream(on_lib.notifications) == \
+            [e for e in expected if e[0] is lib]
+        assert stream(on_book.notifications) == \
+            [e for e in expected if e[0] is book]
+        assert len(built) == len(expected)
+
+    def test_model_index_is_a_listener(self, built, lib, book):
+        model = Model("urn:test:indexed")
+        model.add_root(lib)
+        index = model.index()
+        recorder = ChangeRecorder()
+        model.observe(recorder)
+        lib.books.append(book)
+        assert model.instances_of(TBook._meta) == [book]
+        self.script_tail(lib, book)
+        assert model.instances_of(TBook._meta) == []
+        assert index.verify() == []
+        # the book's own UNSET lands after it left the model: no model
+        # listener, so it is never built
+        expected = self.expected(lib, book)[:-1]
+        assert stream(recorder.notifications) == expected
+        assert stream(built) == expected
+
+    def test_open_transaction_journals_the_full_stream(self, built, lib,
+                                                      book):
+        from repro.mof import transaction
+        with transaction() as txn:
+            self.script(lib, book)
+            journal = list(txn.journal)
+        assert stream(journal) == self.expected(lib, book)
+        assert built == journal
+
+    def test_rollback_of_load_like_build_is_exact(self, lib):
+        from repro.mof import transaction
+        from repro.xmi import write_xml
+        model = Model("urn:test:rollback")
+        model.add_root(lib)
+        keep = TBook(name="keep")
+        lib.books.append(keep)
+        before = write_xml(model)
+        with pytest.raises(_Abort):
+            with transaction():
+                shelf, books = build_shelf()
+                for book in books:
+                    lib.books.append(book)
+                keep.sequel = books[3]
+                raise _Abort
+        assert write_xml(model) == before
+        assert list(lib.books) == [keep] and keep.sequel is None
+        assert len(shelf.books) == 0 and shelf.featured is None
+        assert all(b.container is None and b.sequel is None
+                   and len(b.chapters) == 0 for b in books)
