@@ -104,7 +104,8 @@ def main() -> None:
         print(f"    {line}")
 
     print("\n== the same toolchain from the shell ==")
-    for args in (["validate", path_1],
+    for args in (["check", path_1, "--families",
+                  "structural,invariant,wellformed"],
                  ["metrics", path_1],
                  ["schedule", path_1]):
         command = [sys.executable, "-m", "repro", *args]

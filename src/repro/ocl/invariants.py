@@ -9,8 +9,7 @@ testable" discipline the paper requires.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..mof.kernel import Element, MetaClass, MetaPackage
 from ..mof.repository import Model
@@ -236,36 +235,6 @@ class ConstraintSet:
                                + (f": {inv.message}" if inv.message else ""),
                                code="invariant")
         return report
-
-    def check(self, scope: Union[Model, Element]) -> ValidationReport:
-        """Deprecated alias of :meth:`evaluate`.
-
-        .. deprecated::
-            Use :meth:`repro.session.Session.check` with
-            ``constraint_sets=[...]`` (or :meth:`evaluate` directly).
-        """
-        warnings.warn(
-            "ConstraintSet.check() is deprecated; use repro.session."
-            "Session(scope, constraint_sets=[cs]).check("
-            "families=('constraint',)) or ConstraintSet.evaluate()",
-            DeprecationWarning, stacklevel=2)
-        return self.evaluate(scope)
-
-    def watch(self, scope: Union[Model, Element]) -> Any:
-        """An incrementally maintained :meth:`evaluate` over *scope*.
-
-        .. deprecated::
-            Use :meth:`repro.session.Session.watch` with
-            ``constraint_sets=[...]``; this shim delegates to it.
-        """
-        warnings.warn(
-            "ConstraintSet.watch() is deprecated; use repro.session."
-            "Session(scope, constraint_sets=[cs]).watch("
-            "families=('constraint',))",
-            DeprecationWarning, stacklevel=2)
-        from ..session import Session
-        return Session(scope, constraint_sets=[self]).watch(
-            families=("constraint",))
 
     def register_all(self) -> None:
         for inv in self.invariants:

@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..mof.kernel import Element, MetaClass, MetaPackage
 from ..mof.repository import Model
 from ..mof.txn import transaction
+from ..mof.validate import Severity
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..session import Session
@@ -61,6 +62,9 @@ from .protocol import (
 
 #: Wire protocol revision, reported by ``stats`` and the serve banner.
 PROTOCOL_VERSION = 1
+
+#: The severity floors the ``check`` verb accepts.
+_SEVERITIES = sorted(s.value for s in Severity)
 
 #: Per-verb wall-clock budgets (seconds).  A request past its budget is
 #: shed before it runs, and the long verbs re-check cooperatively at
@@ -216,8 +220,8 @@ class RepoState:
         # is acknowledged.
         self.wal: Optional[_durability.WriteAheadLog] = None
         # cross-connection check-result cache: (families, severity,
-        # workers, columnar) -> the check document computed at the
-        # current epoch.  Check results are pure functions of (model
+        # columnar) -> the check document computed at the current
+        # epoch.  Check results are pure functions of (model
         # state, parameters), and model state only changes through
         # committed edit-txns — so the cache is cleared exactly on epoch
         # bump and any connection may reuse any other's document.
@@ -597,19 +601,23 @@ class ServerConnection:
     def _verb_check(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Family-filtered checking over this connection's warm engine."""
         state = self._repo_param(params)
+        # validate before building the cache key: the key must be
+        # hashable, and a bad floor must not cost a full check first
         families = params.get("families")
-        if families is not None and not isinstance(families, list):
+        if families is not None and not (
+                isinstance(families, list)
+                and all(isinstance(f, str) for f in families)):
             raise ServerError("bad-params",
                               "'families' must be a list of family names")
         severity = params.get("severity")
+        if severity is not None and severity not in _SEVERITIES:
+            raise ServerError("bad-params",
+                              f"'severity' must be one of {_SEVERITIES} "
+                              f"or null")
         incremental = bool(params.get("incremental", True))
-        workers = params.get("workers")
-        if workers is not None and (not isinstance(workers, int)
-                                    or isinstance(workers, bool)):
-            raise ServerError("bad-params", "'workers' must be an integer")
         columnar = bool(params.get("columnar", False))
         key = (tuple(families) if families is not None else None,
-               severity, workers, columnar)
+               severity, columnar)
         with state.lock:
             cached = state.check_cache.get(key)
             _metrics.REGISTRY.counter(
@@ -623,23 +631,15 @@ class ServerConnection:
                 if columnar:
                     state.model.enable_columns()
                 try:
-                    if incremental and not (workers and workers > 1):
+                    if incremental:
                         engine = self._engine(state, families)
                         engine.revalidate()
                         result = engine.check_result()
                     else:
-                        # workers forces the full-pass path: sharding is
-                        # full-pass only (repro.parallel)
-                        result = state.session.check(families=families,
-                                                     workers=workers)
+                        result = state.session.check(families=families)
                 except ValueError as exc:
                     raise ServerError("bad-params", str(exc))
-                if severity is not None:
-                    try:
-                        result = result.filtered(severity)
-                    except ValueError as exc:
-                        raise ServerError("bad-params", str(exc))
-                document = result.to_json()
+                document = result.filtered(severity).to_json()
                 state.check_cache[key] = dict(document)
         document["repo"] = state.name
         document["epoch"] = state.epoch

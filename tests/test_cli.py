@@ -63,13 +63,6 @@ class TestCheckVerb:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.xmi"]) == 2
 
-    def test_validate_alias_warns_and_checks(self, model_file, capsys):
-        with pytest.deprecated_call():
-            assert main(["validate", model_file]) == 0
-        out = capsys.readouterr().out
-        # the alias pins the historical validate families
-        assert "[structural, invariant, wellformed]" in out
-
 
 class TestLint:
     def test_clean_model(self, model_file, capsys):

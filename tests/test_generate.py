@@ -1,8 +1,7 @@
 """Unit tests for the :mod:`repro.generate` subsystem.
 
-Covers the migration satellite contracts (the ``tests/modelgen.py``
-shim warns and re-exports), the narrowed mutation-error policy (a
-planted kernel bug must surface through the fuzzer), the
+Covers import hygiene, the narrowed mutation-error policy (a planted
+kernel bug must surface through the fuzzer), the
 ``violate_lower_bounds`` flag, the repair engine's per-diagnostic
 strategies, coverage target enumeration, and the dual-mode
 ``python -m repro generate`` CLI verb.
@@ -43,22 +42,6 @@ from repro.mof import (
 )
 from repro.mof.repository import Model
 from repro.session import Session
-
-
-# ---------------------------------------------------------------------------
-# the deprecated tests/modelgen.py shim
-# ---------------------------------------------------------------------------
-
-def test_modelgen_shim_warns_and_reexports():
-    sys.modules.pop("modelgen", None)
-    with pytest.warns(DeprecationWarning, match="moved to repro.generate"):
-        import modelgen
-    # the shim hands back the *same* objects, not copies
-    assert modelgen.ModelGenerator is ModelGenerator
-    assert modelgen.EditFuzzer is EditFuzzer
-    assert modelgen.demo_generator is demo_generator
-    assert modelgen.uml_generator is uml_generator
-    assert modelgen.demo_package is demo_package
 
 
 def test_repro_generate_imports_cleanly_under_warning_hygiene():

@@ -4,7 +4,7 @@ The closure compiler (:mod:`repro.ocl.compile`) must be observationally
 identical to the tree-walking interpreter — same values, same undefined
 (``None``) propagation, same ``OclTypeError``/``OclEvaluationError``
 types and messages.  The corpus below runs every expression against
-every element of generated models (``tests/modelgen.py``) through both
+every element of generated models (:mod:`repro.generate`) through both
 pipelines and requires identical outcomes, including for expressions
 that are *type errors* on some elements (wrong metaclass, undefined
 navigation, non-boolean guards).

@@ -167,8 +167,18 @@ class TestVerbs:
             with pytest.raises(RemoteError) as excinfo:
                 client.request("check", repo="main", families=["nope"])
             assert excinfo.value.code == "bad-params"
+            _, misses = TestCheckCache._cache_counts()
             with pytest.raises(RemoteError) as excinfo:
                 client.request("check", repo="main", severity="fatal")
+            assert excinfo.value.code == "bad-params"
+            # rejected before the cache lookup, not after a full check
+            assert TestCheckCache._cache_counts()[1] == misses
+            # malformed params are typed errors, never internal ones
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("check", repo="main", families=[{"a": 1}])
+            assert excinfo.value.code == "bad-params"
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("check", repo="main", severity=["error"])
             assert excinfo.value.code == "bad-params"
 
     def test_check_unknown_repo(self, server):
@@ -180,7 +190,7 @@ class TestVerbs:
 
 class TestCheckCache:
     """The per-repo check-result cache is shared across connections and
-    keyed on (families, severity, workers, columnar); an edit-txn epoch
+    keyed on (families, severity, columnar); an edit-txn epoch
     bump invalidates it wholesale."""
 
     @staticmethod
@@ -236,15 +246,13 @@ class TestCheckCache:
             again = client.request("check", repo="main")
             assert again["families"] != "mutated by the caller"
 
-    def test_workers_and_columnar_parity_over_the_wire(self, server):
+    def test_columnar_parity_over_the_wire(self, server):
         host_corpus(server)
         with InProcessClient(server) as client:
             serial = client.request("check", repo="main",
                                     incremental=False)
-            sharded = client.request("check", repo="main", workers=2)
             columnar = client.request("check", repo="main",
                                       columnar=True, incremental=False)
-            assert sharded == serial
             assert columnar == serial
 
 
