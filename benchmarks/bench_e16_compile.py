@@ -10,9 +10,9 @@ that is invariant across evaluations.
 Measured:
 
 * median wall-clock of repeated :meth:`ConstraintSet.evaluate` over the
-  same models with closure-compiled invariants (``compiled=True``, the
-  default — parse+compile cached per process) versus the retained
-  tree-walking interpreter (``compiled=False``).  Must show ≥5x.
+  same models with closure-compiled invariants (the production path —
+  parse+compile cached per process) versus the tree-walking interpreter
+  (the test oracle in ``tests/ocl_oracle.py``).  Must show ≥5x.
 * ``Model.instances_of`` latency for a fixed-size answer across growing
   models — near-flat with the extent index (O(answer)), versus the
   O(model) containment scan.
@@ -38,6 +38,7 @@ from repro.mof import (
 )
 from repro.ocl import ConstraintSet
 from repro.uml import Clazz
+from ocl_oracle import InterpretedConstraintSet
 from workloads import make_sized_pim
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -48,8 +49,8 @@ INDEX_SIZES = [100, 400] if QUICK else [100, 400, 1600, 6400]
 N_QUERIES = 100 if QUICK else 300
 
 
-def make_constraints(**kwargs):
-    constraints = ConstraintSet("pim-rules", **kwargs)
+def make_constraints(kind=ConstraintSet):
+    constraints = kind("pim-rules")
     constraints.add(Clazz, "named", "name <> ''")
     constraints.add(Clazz, "attrs-typed",
                     "owned_attributes->forAll(p | p.type <> null)")
@@ -76,8 +77,8 @@ def test_e16_invariant_evaluation_speedup():
     separately below — because this is what the closure compiler claims
     to speed up: `holds` on an already-selected conforming element.
     """
-    compiled = make_constraints(compiled=True)
-    interpreted = make_constraints(compiled=False)
+    compiled = make_constraints()
+    interpreted = make_constraints(InterpretedConstraintSet)
     pim = make_sized_pim(PIM_SIZE).model
     elements = [pim] + list(pim.all_contents())
     fast_work = []
@@ -118,8 +119,8 @@ def test_e16_constraint_pass_speedup():
     Includes extent-index dispatch and report building, so the ratio is
     smaller than the kernel's; reports must be identical between modes.
     """
-    compiled = make_constraints(compiled=True)
-    interpreted = make_constraints(compiled=False)
+    compiled = make_constraints()
+    interpreted = make_constraints(InterpretedConstraintSet)
     scope = MofModel("urn:bench:e16pim")
     scope.add_root(make_sized_pim(PIM_SIZE).model)
 

@@ -122,8 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"error: unknown check families {unknown}; expected a "
                   f"subset of {','.join(FAMILIES)}", file=sys.stderr)
             return 2
-    session = Session(load_model(args.model),
-                      columnar=getattr(args, "columnar", False))
+    session = Session(load_model(args.model))
     result = session.check(families=families, severity=args.severity)
     emit_check_result(result, args)
     clean = result.ok and not (getattr(args, "strict", False)
@@ -529,7 +528,7 @@ def _run_pipeline(args: argparse.Namespace, stages) -> Session:
 
     with obs.span("cli.load", model=args.model):
         model = load_model(args.model)
-    session = Session(model, columnar=getattr(args, "columnar", False))
+    session = Session(model)
     psm_model = None
     for stage in stages:
         if stage == "check":
@@ -764,11 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "lint,consistency)")
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as failures")
-    p.add_argument("--columnar", action="store_true",
-                   help="enable the columnar extent store "
-                        "(repro.mof.columns) so allInstances-heavy OCL "
-                        "and the structural/invariant families scan "
-                        "contiguous columns")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
@@ -986,10 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export format (default prom; json prints the "
                         "same document Session.stats() returns and the "
                         "model server's stats verb serves)")
-    p.add_argument("--columnar", action="store_true",
-                   help="run the pipeline with the columnar extent "
-                        "store enabled; the model block then reports "
-                        "per-extent column counts, bytes and rebuilds")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(

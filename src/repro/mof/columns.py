@@ -1,4 +1,8 @@
-"""Opt-in columnar (struct-of-arrays) backing store per metaclass extent.
+"""Columnar (struct-of-arrays) backing store per metaclass extent.
+
+Every :class:`~repro.session.Session` enables it on its model
+(``Model.enable_columns``); a bare :class:`~repro.mof.repository.Model`
+starts without one.
 
 ``Session.check`` over a large model is a per-object pointer chase: every
 element is visited through ``eget`` (descriptor dispatch, hook tests,

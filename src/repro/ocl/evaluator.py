@@ -10,6 +10,12 @@ Value universe: ``int``/``float``/``str``/``bool``/``None``, Python lists
 implicit-collect of OCL; navigation into an absent feature of an element
 falls back to the element's Python attributes, so helper methods defined on
 metaclasses (``all_supers`` etc.) are available to expressions.
+
+:class:`OclEvaluator` is the reference semantics.  Production evaluation
+(:func:`evaluate`, :class:`~repro.ocl.invariants.Invariant`) runs the
+closure compiler in :mod:`repro.ocl.compile`, which shares the
+evaluator's equality, comparison and arithmetic helpers; the test suite
+drives the tree walker as the oracle the compiled closures must match.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .ast import (
     UnOp,
 )
 from .errors import OclEvaluationError, OclTypeError
-from .parser import parse
 from .stdlib import COLLECTION_OPS
 
 
@@ -529,21 +534,25 @@ _EVALUATOR = OclEvaluator()
 
 
 def evaluate(text_or_node: Union[str, Node],
-             env: Optional[Environment] = None, *,
-             compiled: bool = True, **bindings: Any) -> Any:
+             env: Optional[Environment] = None, **bindings: Any) -> Any:
     """Parse (if needed) and evaluate an expression.
 
     Keyword bindings become variables; ``self=obj`` binds the context
     object.  If no environment is given and ``self`` is a model element, a
     default environment scoped to the element's containment tree is built.
 
-    By default the expression is run through the closure compiler
-    (:mod:`repro.ocl.compile`) with its process-wide parse+compile cache;
-    ``compiled=False`` keeps the tree-walking interpreter — behaviourally
-    identical, retained for differential testing.  (One caveat of the
-    keyword: a *binding* literally named ``compiled`` can no longer be
-    passed through ``**bindings``; build an :class:`Environment` for that.)
+    The expression is run through the closure compiler
+    (:mod:`repro.ocl.compile`) with its process-wide parse+compile cache.
     """
+    from .compile import compile_expression
+    return compile_expression(text_or_node)(_bind_environment(env, bindings))
+
+
+def _bind_environment(env: Optional[Environment],
+                     bindings: Dict[str, Any]) -> Environment:
+    """The environment :func:`evaluate` runs in: *env* (or a default one,
+    scoped to ``self``'s containment tree when ``self`` is an element)
+    with *bindings* defined as variables."""
     if env is None:
         self_object = bindings.get("self")
         if isinstance(self_object, Element):
@@ -553,9 +562,4 @@ def evaluate(text_or_node: Union[str, Node],
             env = Environment()
     for name, value in bindings.items():
         env.define(name, value)
-    if compiled:
-        from .compile import compile_expression
-        return compile_expression(text_or_node)(env)
-    node = parse(text_or_node) if isinstance(text_or_node, str) \
-        else text_or_node
-    return _EVALUATOR.eval(node, env)
+    return env

@@ -19,26 +19,22 @@ from ..obs import trace as _trace
 from .ast import Node
 from .compile import CompiledExpression, compile_expression, parse_cached
 from .errors import OclError
-from .evaluator import Environment, OclEvaluator, _EVALUATOR, truthy
+from .evaluator import Environment, truthy
 
 
 class Invariant:
     """A named boolean constraint over instances of a context metaclass.
 
-    By default the expression is lowered once to a closure
-    (:mod:`repro.ocl.compile`) specialised against the context
-    metaclass, and the per-package type environments are cached across
-    evaluations; ``compiled=False`` keeps the tree-walking interpreter
-    with a fresh environment per call (behaviourally identical — the
-    differential suite holds the equality).
+    The expression is lowered once to a closure (:mod:`repro.ocl.compile`)
+    specialised against the context metaclass, and the per-package type
+    environments are cached across evaluations.
     """
 
     def __init__(self, context: Union[MetaClass, type], name: str,
                  expression: str, *,
                  message: str = "",
                  severity: Severity = Severity.ERROR,
-                 packages: Optional[List[MetaPackage]] = None,
-                 compiled: bool = True):
+                 packages: Optional[List[MetaPackage]] = None):
         if isinstance(context, type):
             context = context._meta
         self.context: MetaClass = context
@@ -48,12 +44,9 @@ class Invariant:
         self.message = message
         self.severity = severity
         self.packages = packages
-        self.compiled = compiled
-        self._compiled: Optional[CompiledExpression] = (
-            compile_expression(expression, context=context)
-            if compiled else None)
-        self._compiled_fn = (self._compiled._fn
-                             if self._compiled is not None else None)
+        self._compiled: CompiledExpression = compile_expression(
+            expression, context=context)
+        self._compiled_fn = self._compiled._fn
         # (element package id, root package id) -> [reusable env, its root]
         self._env_cache: Dict[Tuple[int, int], list] = {}
 
@@ -80,16 +73,13 @@ class Invariant:
         return result
 
     def _holds_impl(self, element: Element) -> bool:
-        if self._compiled is None:
-            return self._holds_interpreted(element)
-        # Compiled path: the type namespace depends only on the element's
-        # and root's packages, so one environment is built per package pair
-        # and reused across calls — the closures only read it (iterator
+        # The type namespace depends only on the element's and root's
+        # packages, so one environment is built per package pair and
+        # reused across calls — the closures only read it (iterator
         # variables live in child environments they create themselves), so
         # rebinding ``self`` and, when the root changes, the instance scope
-        # is all a call needs.  element.root() is read eagerly (not under
-        # the lambda) so dependency tracking sees the same container-chain
-        # reads the interpreted path performs.
+        # is all a call needs.  element.root() is read on every call so
+        # dependency tracking sees the container-chain reads.
         root = element.root()
         key = (id(element.meta.package), id(root.meta.package))
         entry = self._env_cache.get(key)
@@ -117,23 +107,6 @@ class Invariant:
             return False
         return truthy(result)
 
-    def _holds_interpreted(self, element: Element) -> bool:
-        # The type namespace is built from the context metaclass's package
-        # (plus the element's own and its root's) rather than by scanning
-        # the whole model, so checking n elements stays O(n).
-        env = Environment()
-        packages = list(self.packages or [])
-        for candidate in (self.context.package, element.meta.package,
-                          element.root().meta.package):
-            if candidate is not None and candidate not in packages:
-                packages.append(candidate)
-        for package in packages:
-            env.register_package(package)
-        env.set_instance_scope_from(element.root())
-        env.define("self", element)
-        result = _EVALUATOR.eval(self.ast, env)
-        return _EVALUATOR.truthy(result)
-
     def register(self) -> "Invariant":
         """Attach to the context metaclass so validators see it."""
         if self not in self.context.invariants:
@@ -151,34 +124,26 @@ class Invariant:
 
 def invariant(context: Union[MetaClass, type], name: str,
               expression: str, *, message: str = "",
-              severity: Severity = Severity.ERROR,
-              compiled: bool = True) -> Invariant:
+              severity: Severity = Severity.ERROR) -> Invariant:
     """Create *and register* an invariant (the common case)."""
     return Invariant(context, name, expression, message=message,
-                     severity=severity, compiled=compiled).register()
+                     severity=severity).register()
 
 
 class ConstraintSet:
     """A named, detachable group of invariants — one per abstraction level
     or concern, matching the paper's "at each abstraction level a well
-    defined set of tests must be performed".
+    defined set of tests must be performed"."""
 
-    *compiled* is the default evaluation mode for invariants added via
-    :meth:`add` (overridable per invariant)."""
-
-    def __init__(self, name: str, *, compiled: bool = True):
+    def __init__(self, name: str):
         self.name = name
-        self.compiled = compiled
         self.invariants: List[Invariant] = []
 
     def add(self, context: Union[MetaClass, type], name: str,
             expression: str, *, message: str = "",
-            severity: Severity = Severity.ERROR,
-            compiled: Optional[bool] = None) -> Invariant:
+            severity: Severity = Severity.ERROR) -> Invariant:
         inv = Invariant(context, name, expression, message=message,
-                        severity=severity,
-                        compiled=(self.compiled if compiled is None
-                                  else compiled))
+                        severity=severity)
         self.invariants.append(inv)
         return inv
 

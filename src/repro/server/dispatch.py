@@ -219,12 +219,12 @@ class RepoState:
         # appended inside the edit transaction, before the epoch bump
         # is acknowledged.
         self.wal: Optional[_durability.WriteAheadLog] = None
-        # cross-connection check-result cache: (families, severity,
-        # columnar) -> the check document computed at the current
-        # epoch.  Check results are pure functions of (model
-        # state, parameters), and model state only changes through
-        # committed edit-txns — so the cache is cleared exactly on epoch
-        # bump and any connection may reuse any other's document.
+        # cross-connection check-result cache: (families, severity)
+        # -> the check document computed at the current epoch.  Check
+        # results are pure functions of (model state, parameters), and
+        # model state only changes through committed edit-txns — so the
+        # cache is cleared exactly on epoch bump and any connection may
+        # reuse any other's document.
         self.check_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
 
     def summary(self) -> Dict[str, Any]:
@@ -615,9 +615,8 @@ class ServerConnection:
                               f"'severity' must be one of {_SEVERITIES} "
                               f"or null")
         incremental = bool(params.get("incremental", True))
-        columnar = bool(params.get("columnar", False))
         key = (tuple(families) if families is not None else None,
-               severity, columnar)
+               severity)
         with state.lock:
             cached = state.check_cache.get(key)
             _metrics.REGISTRY.counter(
@@ -628,8 +627,6 @@ class ServerConnection:
                 document = dict(cached)
             else:
                 self.check_deadline()   # a full check is the costly path
-                if columnar:
-                    state.model.enable_columns()
                 try:
                     if incremental:
                         engine = self._engine(state, families)

@@ -194,19 +194,17 @@ class Session:
     def __init__(self, scope: Scope, *,
                  constraint_sets: Iterable[Any] = (),
                  registry: Optional[RuleRegistry] = None,
-                 lint_config: Optional[LintConfig] = None,
-                 columnar: bool = False):
+                 lint_config: Optional[LintConfig] = None):
         from .incremental.engine import IncrementalEngine
         self.scope = scope
         self.model = IncrementalEngine._resolve_scope(scope)
         self.constraint_sets = list(constraint_sets)
         self.registry = registry
         self.lint_config = lint_config
-        if columnar:
-            # per-metaclass struct-of-arrays extents (repro.mof.columns):
-            # allInstances-heavy OCL and the structural/invariant families
-            # run over contiguous columns instead of per-object slots
-            self.model.enable_columns()
+        # per-metaclass struct-of-arrays extents (repro.mof.columns):
+        # allInstances-heavy OCL and the structural/invariant families
+        # run over contiguous columns instead of per-object slots
+        self.model.enable_columns()
         #: the :class:`~repro.generate.GenerationResult` behind this
         #: session, when it was opened via :meth:`Session.generate`
         self.generation: Optional[Any] = None
@@ -296,7 +294,10 @@ class Session:
     def _active_column_store(self) -> Optional[Any]:
         """The model's column store when its fast paths may be used:
         enabled, and no dependency read hook (incremental tracking must
-        observe per-element reads a bulk scan would hide)."""
+        observe per-element reads a bulk scan would hide).  ``None``
+        selects the per-object walk, which is also the reference the
+        columnar parity tests compare against (via
+        ``model.disable_columns()``)."""
         from .mof import kernel as _kernel
         store = self.model.column_store()
         if store is None or _kernel._READ_HOOK is not None:

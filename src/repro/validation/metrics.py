@@ -94,8 +94,9 @@ def _coupled_types(cls: Clazz) -> Set[Classifier]:
 
 def _operation_attr_usage(cls: Clazz) -> List[Set[str]]:
     """For LCOM: the set of own-attribute names each operation's body
-    mentions."""
-    attr_names = {p.name for p in cls.owned_attributes}
+    mentions (unnamed attributes cannot be mentioned, so they are
+    skipped)."""
+    attr_names = {p.name for p in cls.owned_attributes if p.name}
     usages: List[Set[str]] = []
     for operation in cls.owned_operations:
         body = operation.body or ""

@@ -115,7 +115,10 @@ def build_quality_report(root: Package, *,
         consistency = kinds.get("consistency", ValidationReport())
     else:
         structural = validate_tree(root)
-        wellformed = run_wellformed_rules(root)
+        # UML well-formedness rules apply to UML packages only (the
+        # same guard as Session._check_wellformed)
+        wellformed = (run_wellformed_rules(root) if isinstance(root, Package)
+                      else ValidationReport())
         lint = ModelLinter(config=LintConfig(
             disabled={"uml-wellformed"})).lint(root)
         consistency = ModelLinter(

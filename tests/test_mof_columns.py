@@ -1,13 +1,14 @@
 """Tests for the columnar extent store (repro.mof.columns).
 
-The store is an opt-in struct-of-arrays mirror of each exact-metaclass
-extent, maintained off the same notification protocol as the
-ModelIndex.  Everything here pivots on two properties:
+The store is a struct-of-arrays mirror of each exact-metaclass extent,
+maintained off the same notification protocol as the ModelIndex; every
+Session enables it.  Everything here pivots on two properties:
 
 * **freshness** — after any edit sequence, a rebuilt block agrees with
   per-object reads cell by cell (``ColumnStore.verify`` is the oracle);
 * **output invariance** — a columnar :meth:`Session.check` produces a
-  byte-identical diagnostic document to the object-backed run, because
+  byte-identical diagnostic document to the object-backed run (a session
+  whose model had ``disable_columns()`` called), because
   the bulk scans only ever *narrow* which elements get the exact
   per-object checker, never change what it reports.
 """
@@ -183,7 +184,10 @@ class TestColumnarSessionParity:
     @pytest.mark.parametrize("seed", range(50))
     def test_check_documents_byte_identical(self, seed):
         plain = Session(self._fresh_root(seed))
-        columnar = Session(self._fresh_root(seed), columnar=True)
+        plain.model.disable_columns()            # the object-path reference
+        columnar = Session(self._fresh_root(seed))
+        assert plain.model.column_store() is None
+        assert columnar.model.column_store() is not None
         assert self._doc(plain) == self._doc(columnar)
         # ...and still after an identically seeded fuzz of both models
         EditFuzzer(plain.roots[0], seed=seed).apply_random_edits(20)
@@ -202,10 +206,10 @@ class TestColumnarSessionParity:
         return json.dumps(session.check().to_json(), sort_keys=True)
 
     def test_session_stats_reports_columns(self, library_model):
-        plain = Session(library_model)
-        assert plain.stats()["model"]["columns"] == {"enabled": False}
-        columnar = Session(library_model, columnar=True)
-        columnar.check(["structural", "invariant"])
-        stats = columnar.stats()["model"]["columns"]
+        session = Session(library_model)
+        session.check(["structural", "invariant"])
+        stats = session.stats()["model"]["columns"]
         assert stats["enabled"] is True
         assert stats["extents"] > 0
+        session.model.disable_columns()
+        assert session.stats()["model"]["columns"] == {"enabled": False}

@@ -5,9 +5,10 @@ identical to the tree-walking interpreter — same values, same undefined
 (``None``) propagation, same ``OclTypeError``/``OclEvaluationError``
 types and messages.  The corpus below runs every expression against
 every element of generated models (:mod:`repro.generate`) through both
-pipelines and requires identical outcomes, including for expressions
-that are *type errors* on some elements (wrong metaclass, undefined
-navigation, non-boolean guards).
+pipelines (the interpreter via the ``ocl_oracle`` test helpers) and
+requires identical outcomes, including for expressions that are *type
+errors* on some elements (wrong metaclass, undefined navigation,
+non-boolean guards).
 
 Also covers the parse/compile caches: per-(text, context) keying, the
 no-poisoning guarantee between contexts, and hit/miss accounting.
@@ -36,19 +37,24 @@ from repro.ocl import (
 )
 from repro.ocl.errors import OclError
 
+from ocl_oracle import (
+    InterpretedConstraintSet,
+    InterpretedInvariant,
+    interpret,
+)
 
-def outcome(expr, **bindings):
+
+def outcome(run, expr, **bindings):
     """Evaluate one way; collapse into a comparable (tag, payload) pair."""
-    compiled = bindings.pop("compiled")
     try:
-        return ("value", evaluate(expr, compiled=compiled, **bindings))
+        return ("value", run(expr, **bindings))
     except OclError as exc:
         return ("error", type(exc).__name__, str(exc))
 
 
 def assert_differential(expr, **bindings):
-    interpreted = outcome(expr, compiled=False, **bindings)
-    compiled = outcome(expr, compiled=True, **bindings)
+    interpreted = outcome(interpret, expr, **bindings)
+    compiled = outcome(evaluate, expr, **bindings)
     assert compiled == interpreted, (
         f"divergence on {expr!r}: compiled={compiled!r} "
         f"interpreted={interpreted!r}")
@@ -174,10 +180,9 @@ class TestDifferentialCorpus:
         root = demo_generator(7).generate(30)
         model = Model("urn:diff")
         model.add_root(root)
-        for compiled in (True, False):
+        for run in (evaluate, interpret):
             env = Environment.for_model(model, packages=[pkg])
-            count = evaluate("GBook.allInstances()->size()", env,
-                             compiled=compiled)
+            count = run("GBook.allInstances()->size()", env)
             scan = sum(1 for e in model.all_elements()
                        if e.meta is pkg.classifier("GBook"))
             assert count == scan
@@ -195,8 +200,8 @@ class TestInvariantParity:
             "self.pages + self.name > 0",     # raises when name is a str
         ]
         for expression in expressions:
-            fast = Invariant(book, "fast", expression, compiled=True)
-            slow = Invariant(book, "slow", expression, compiled=False)
+            fast = Invariant(book, "fast", expression)
+            slow = InterpretedInvariant(book, "slow", expression)
             for element in elements:
                 if not element.meta.conforms_to(book):
                     continue
@@ -220,8 +225,8 @@ class TestInvariantParity:
             ("GNamed", "named", "not self.name.oclIsUndefined()"),
             ("GBook", "tagged", "self.tags->forAll(t | t.size() > 0)"),
         ]
-        fast = ConstraintSet("fast", compiled=True)
-        slow = ConstraintSet("slow", compiled=False)
+        fast = ConstraintSet("fast")
+        slow = InterpretedConstraintSet("slow")
         for cls, name, expression in expressions:
             fast.add(pkg.classifier(cls), name, expression)
             slow.add(pkg.classifier(cls), name, expression)

@@ -190,7 +190,7 @@ class TestVerbs:
 
 class TestCheckCache:
     """The per-repo check-result cache is shared across connections and
-    keyed on (families, severity, columnar); an edit-txn epoch
+    keyed on (families, severity); an edit-txn epoch
     bump invalidates it wholesale."""
 
     @staticmethod
@@ -245,15 +245,6 @@ class TestCheckCache:
             first["families"] = "mutated by the caller"
             again = client.request("check", repo="main")
             assert again["families"] != "mutated by the caller"
-
-    def test_columnar_parity_over_the_wire(self, server):
-        host_corpus(server)
-        with InProcessClient(server) as client:
-            serial = client.request("check", repo="main",
-                                    incremental=False)
-            columnar = client.request("check", repo="main",
-                                      columnar=True, incremental=False)
-            assert columnar == serial
 
 
 class TestEditTxn:

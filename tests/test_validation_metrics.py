@@ -79,6 +79,14 @@ class TestClassMetrics:
         factory.operation(cls, "useB", body="b := 2")
         assert compute_class_metrics(cls).lcom == 1
 
+    def test_lcom_skips_unnamed_attributes(self, factory):
+        cls = factory.clazz("Blob", attrs={"a": "Integer"})
+        factory.attribute(cls, "anonymous", "Integer").name = None
+        factory.operation(cls, "useA", body="a := 1")
+        factory.operation(cls, "noop", body="skip")
+        # the unnamed attribute can be mentioned by no body
+        assert compute_class_metrics(cls).lcom == 1
+
     def test_rfc_includes_sends(self, cruise_model):
         controller = cruise_model.model.member("CruiseController")
         metrics = compute_class_metrics(controller)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.generate import demo_generator
 from repro.profiles import add_requirement, satisfy, verify
 from repro.validation import build_quality_report
 
@@ -22,6 +23,15 @@ class TestQualityReport:
         assert not report.passed
         assert not report.section("uml well-formedness").passed
         assert "FAIL" in report.render()
+
+    def test_non_uml_root_skips_wellformedness(self):
+        # a generated demo corpus is rooted in a non-UML metaclass: the
+        # UML well-formedness rules do not apply, and must not crash
+        root = demo_generator(0).generate(60)
+        report = build_quality_report(root)
+        section = report.section("uml well-formedness")
+        assert section.passed
+        assert section.lines == ["no findings"]
 
     def test_metric_threshold_failure(self, factory):
         a = factory.clazz("A")
