@@ -10,6 +10,10 @@ Measured: median wall-clock of a full from-scratch check versus an
 incrementally revalidated single-element edit (renames and guard
 tweaks), across model sizes up to ~10^4 elements, plus the cache-
 correctness spot check that both paths report identical diagnostics.
+A "no-op re-check" row times ``revalidate()`` + ``check_result()`` with
+nothing edited on a generated demo corpus (20k elements): the merged
+result is served from the engine's cache, so it must cost at most 5 ms
+there, and at least 50x less than ``recompute_from_scratch()``.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/edit count.
 """
@@ -19,6 +23,7 @@ import random
 import statistics
 import time
 
+from repro.generate import generate_model
 from repro.incremental import IncrementalEngine, report_signature
 from workloads import make_sized_pim
 
@@ -27,6 +32,10 @@ SIZES = [50] if QUICK else [100, 1000]      # n_classes; ~10 elements each
 N_EDITS = 8 if QUICK else 24
 N_BASELINE = 2 if QUICK else 3
 REQUIRED_SPEEDUP = 2.0 if QUICK else 10.0   # enforced at the largest size
+NOOP_SIZE = 2_000 if QUICK else 20_000      # demo corpus elements
+NOOP_REPEATS = 50
+NOOP_CEILING_MS = 5.0                       # enforced in full mode
+NOOP_REQUIRED_SPEEDUP = 50.0                # vs recompute_from_scratch
 
 
 def _editable_elements(root, rng, count):
@@ -117,3 +126,37 @@ def test_e14_edit_cost_does_not_scale_with_model():
     # and must always be a sliver of the whole
     for size, worst, total in reruns:
         assert worst < total * 0.05 + 10, (size, worst, total)
+
+
+def test_e14_noop_recheck():
+    """A re-check with nothing edited re-runs no unit and re-merges no
+    result: ``revalidate()`` + ``check_result()`` is served from the
+    engine's cache, in time independent of the unit count."""
+    model = generate_model("demo", size=NOOP_SIZE, seed=0).model
+    engine = IncrementalEngine(model)
+    engine.revalidate()                           # prime every cache
+    scratch_times = []
+    for _ in range(N_BASELINE):
+        started = time.perf_counter()
+        engine.recompute_from_scratch()
+        scratch_times.append(time.perf_counter() - started)
+    scratch_ms = statistics.median(scratch_times) * 1e3
+    noop_times = []
+    for _ in range(NOOP_REPEATS):
+        started = time.perf_counter()
+        engine.revalidate()
+        engine.check_result()
+        noop_times.append(time.perf_counter() - started)
+    noop_ms = statistics.median(noop_times) * 1e3
+    assert engine.stats.last_rerun == 0
+    speedup = scratch_ms / noop_ms if noop_ms else float("inf")
+    print(f"\nE14: no-op re-check (revalidate + check_result), demo "
+          f"{model.size():,} elements, {engine.unit_count():,} units")
+    print(f"  scratch {scratch_ms:9.2f} ms   no-op {noop_ms:7.3f} ms   "
+          f"{speedup:,.0f}x")
+    engine.detach()
+    assert speedup >= NOOP_REQUIRED_SPEEDUP, (
+        f"no-op re-check only {speedup:.0f}x cheaper than scratch")
+    if not QUICK:
+        assert noop_ms <= NOOP_CEILING_MS, (
+            f"no-op re-check {noop_ms:.2f} ms > {NOOP_CEILING_MS} ms")

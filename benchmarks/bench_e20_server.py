@@ -6,15 +6,15 @@ shared model repository.  The server's promises to measure:
 
 * **throughput/tail** — mixed edit-txn + check traffic from 1/4/8
   concurrent editors over a 10^5-element generated repository: checks
-  ride each connection's warm incremental engine, so check throughput
+  ride the repository's one warm incremental engine, so check throughput
   and p99 latency must stay interactive while writers commit;
 * **lossless conflicts** — with every editor racing on the same epoch,
   100% of edit-txns are either applied or rejected with a replayable
   ``conflict`` carrying ``current_epoch`` — the retry accounting must
   balance exactly (nothing silently dropped);
-* **isolation** — a client's incremental state is its own: another
-  client's checks never touch it, and edits to a different repository
-  never invalidate it.
+* **isolation** — edits and checks on a different repository never
+  touch a repository's engine, and every connection to one repository
+  shares that repository's single engine.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced corpus and
 editor band.
@@ -140,8 +140,13 @@ def test_e20_concurrent_editors_throughput_and_tail():
         assert state.epoch == applied
 
 
-def test_e20_per_client_and_cross_repo_isolation():
-    print("\nE20: per-client incremental state isolation")
+def _repo_engine(server, name):
+    state = server.repo(name)
+    return state.engines[state.session._resolve_families(None)]
+
+
+def test_e20_shared_engine_and_cross_repo_isolation():
+    print("\nE20: one shared engine per repository, cross-repo isolation")
     quiet = Session.generate("demo", size=500 if QUICK else 5_000,
                              seed=1, repair=True)
     busy = Session.generate("demo", size=500 if QUICK else 5_000,
@@ -154,7 +159,7 @@ def test_e20_per_client_and_cross_repo_isolation():
     editors = [InProcessClient(server) for _ in range(3)]
     try:
         reader.request("check", repo="quiet")
-        engine = reader._conn.engines["quiet"]
+        engine = _repo_engine(server, "quiet")
         baseline = (engine.stats.invalidations, engine.stats.unit_runs)
         epoch = 0
         for index, client in enumerate(editors * 4):
@@ -177,11 +182,12 @@ def test_e20_per_client_and_cross_repo_isolation():
               f"{server.repo('busy').edits_applied} busy-repo edits")
         assert after == baseline
         assert not engine._dirty
-        # per-client: every connection has its own engine object
-        engines = [c._conn.engines["busy"] for c in editors]
-        assert len({id(e) for e in engines}) == len(engines)
-        print(f"  {len(engines)} editor connections -> "
-              f"{len({id(e) for e in engines})} distinct warm engines")
+        # per-repository: every editor connection checked through the
+        # busy repository's one shared engine
+        engines = server.repo("busy").engines
+        assert list(engines.values()) == [_repo_engine(server, "busy")]
+        print(f"  {len(editors)} editor connections -> "
+              f"{len(engines)} shared warm engine per repository")
     finally:
         reader.close()
         for client in editors:

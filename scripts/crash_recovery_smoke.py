@@ -99,10 +99,9 @@ def main():
                    for line in banner):
             fail(f"no recovery banner, got: {banner!r}")
         with TcpClient(host, port) as client:
-            # full pass (not the incremental engine) so the document is
-            # the same shape Session.check renders for the shadow
-            document = client.request("check", repo="main",
-                                      incremental=False)
+            # served by the repository's incremental engine, whose
+            # document is byte-identical to Session.check's
+            document = client.request("check", repo="main")
             stats = client.request("stats")["server"]["repos"]["main"]
         if document.pop("epoch") != EDITS:
             fail("recovered epoch != acknowledged txns")

@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 from .analysis import DEFAULT_REGISTRY, LintConfig
 from .codegen import generate_c, generate_java, generate_systemc, \
@@ -161,17 +161,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _watch_pass(engine, model_path: str, fmt: str = "text",
-                severity: Optional[str] = None) -> "object":
+def _watch_pass(model, model_path: str, fmt: str = "text",
+                severity: Optional[str] = None) -> Tuple[Any, Any]:
+    """Prime a ``Session.watch`` engine over *model*; print its report.
+    Returns ``(engine, report)``."""
     import time
 
     started = time.perf_counter()
-    report = engine.revalidate()
+    engine = Session(model).watch()
     elapsed = (time.perf_counter() - started) * 1e3
+    report = engine.report()
     result = engine.check_result().filtered(severity)
     if fmt == "json":
         print(result.render("json"))
-        return report
+        return engine, report
     print(f"{model_path}: {len(report.errors)} error(s), "
           f"{len(report.warnings)} warning(s) across "
           f"{engine.unit_count()} check unit(s) in {elapsed:.1f} ms "
@@ -184,7 +187,7 @@ def _watch_pass(engine, model_path: str, fmt: str = "text",
               f"(crashed checkers, retrying with backoff):")
         for line in engine.quarantine_report():
             print(f"    {line}")
-    return report
+    return engine, report
 
 
 def _watch_bench(engine, edits: int) -> int:
@@ -226,11 +229,8 @@ def _watch_bench(engine, edits: int) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     import time
 
-    from .incremental import IncrementalEngine
-
-    model = load_model(args.model)
-    engine = IncrementalEngine(model, consistency=True)
-    report = _watch_pass(engine, args.model, args.format, args.severity)
+    engine, report = _watch_pass(load_model(args.model), args.model,
+                                 args.format, args.severity)
     if args.bench:
         code = _watch_bench(engine, args.bench)
         engine.detach()
@@ -255,16 +255,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
             if mtime == last_mtime:
                 continue
             last_mtime = mtime
-            engine.detach()
             try:
                 model = load_model(args.model)
             except Exception as exc:
                 print(f"  reload failed: {exc}")
-                engine = IncrementalEngine(model, consistency=True)
                 continue
-            engine = IncrementalEngine(model, consistency=True)
-            report = _watch_pass(engine, args.model, args.format,
-                                 args.severity)
+            engine.detach()
+            engine, report = _watch_pass(model, args.model, args.format,
+                                         args.severity)
             now = {d.render() for d in report.diagnostics}
             for line in sorted(now - rendered):
                 print(f"  + {line}")

@@ -18,21 +18,35 @@ entered the scope and drops units for elements that left.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
-``uml.wellformed.run_wellformed_rules`` and ``analysis.ModelLinter`` —
-so that an engine's merged report is diagnostic-for-diagnostic equal to
-a from-scratch run; the property suite in
-``tests/test_incremental_properties.py`` holds that equality over
-thousands of random edits.
+``uml.wellformed.run_wellformed_rules``, ``analysis.ModelLinter`` (which
+takes metaclass targets per root, so a metaclass-target lint unit is a
+(rule, metaclass, root) triple) and ``ConstraintSet.evaluate`` — so
+that an engine's merged report is diagnostic-for-diagnostic equal to a
+from-scratch run; the property
+suite in ``tests/test_incremental_properties.py`` holds that equality
+over thousands of random edits.
+
+Merged results cost O(edit), not O(units).  The engine keeps diagnostics
+only for units whose last result was non-empty, per family, and caches
+the merged :class:`~repro.session.CheckResult`.  A re-run whose result
+is unchanged (in particular a unit that stays clean) leaves the cache
+alone; a changed result, a quarantine or a membership change marks just
+its family for re-merging.  The merged order is the batch order of
+``Session.check``, so the engine's document is byte-identical to
+``canonical_check_document`` of a batch check (``tests/test_session.py``
+holds that over fuzzed edits).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from .. import faults as _faults
-from ..analysis.registry import DEFAULT_REGISTRY, LintConfig, LintRule, RuleRegistry
+from ..analysis.registry import (DEFAULT_REGISTRY, TARGETS, LintConfig,
+                                 LintRule, RuleRegistry)
 from ..analysis.runner import LintContext
 from ..mof.kernel import Element, MetaClass, Reference
 from ..mof.notify import Notification
@@ -107,6 +121,15 @@ class InvariantUnit(_Unit):
         return report.diagnostics
 
 
+class ConstraintUnit(InvariantUnit):
+    """One (constraint-set invariant, element) pair — an invariant unit
+    whose diagnostics report under the ``constraint`` family, as
+    ``ConstraintSet.evaluate`` does in a batch check."""
+
+    __slots__ = ()
+    kind = "constraint"
+
+
 class WellformedUnit(_Unit):
     """One (well-formedness rule, root) pair."""
 
@@ -132,19 +155,20 @@ class LintUnit(_Unit):
     nothing but the sharing.
     """
 
-    __slots__ = ("rule", "target", "config", "registry")
+    __slots__ = ("rule", "target", "config", "registry", "root")
     kind = "lint"
 
     def __init__(self, rule: LintRule, target: Any, config: LintConfig,
-                 registry: RuleRegistry):
+                 registry: RuleRegistry, root: Optional[Element] = None):
         self.rule = rule
         self.target = target
         self.config = config
         self.registry = registry
+        self.root = root          # the walked root of a metaclass target
 
     def run(self) -> List[Diagnostic]:
         root = self.target.root() if isinstance(self.target, Element) \
-            else None
+            else self.root
         context = LintContext(root, self.config, self.registry)
         context.current_rule = self.rule
         out: List[Diagnostic] = []
@@ -237,7 +261,10 @@ class IncrementalEngine:
     ``validation.report.build_quality_report``.
     The cross-diagram ``consistency`` family (the ``XD`` rules) is opt-in
     via ``consistency=True`` and runs as its own unit kind, so
-    :meth:`report_by_kind` keeps the families separate.
+    :meth:`report_by_kind` keeps the families separate.  Constraint-set
+    invariants run as ``constraint`` units.  Unit kinds are the session's
+    checker families, and :attr:`families` lists the ones
+    :meth:`check_result` reports (every one, even when it is empty).
     """
 
     def __init__(self, scope: Scope, *,
@@ -251,6 +278,7 @@ class IncrementalEngine:
                  registry: Optional[RuleRegistry] = None,
                  config: Optional[LintConfig] = None):
         self.model = self._resolve_scope(scope)
+        self._model_scope = isinstance(scope, Model)
         self.structural = structural
         self.invariants = invariants
         self.constraint_sets = list(constraint_sets)
@@ -268,16 +296,40 @@ class IncrementalEngine:
             config = LintConfig(disabled={"uml-wellformed"}
                                 if self.wellformed_rules else set())
         self.config = config
+        from ..session import FAMILIES
+        #: the families :meth:`check_result` lists, in report order
+        #: (``Session.watch`` sets it to the resolved selection)
+        self.families: Tuple[str, ...] = tuple(
+            family for family, on in zip(FAMILIES, (
+                structural, invariants,
+                wellformed or wellformed_rules is not None, lint,
+                consistency, bool(self.constraint_sets)))
+            if on)
 
         self._units: Dict[tuple, _Unit] = {}
-        self._results: Dict[tuple, Tuple[Diagnostic, ...]] = {}
+        # family -> {unit key: diagnostics} for non-empty results only
+        self._findings: Dict[str, Dict[tuple, Tuple[Diagnostic, ...]]] = {
+            family: {} for family in FAMILIES}
+        # family -> its findings merged in batch order; families in
+        # _stale must be re-merged before the next check_result()
+        self._merged: Dict[str, List[Diagnostic]] = {}
+        self._stale: Set[str] = set()
+        self._result: Optional[Any] = None          # cached CheckResult
+        self._report: Optional[List[Diagnostic]] = None
+        # walk position per element id and first-walk rank per metaclass
+        # id, computed on demand and dropped on every membership sync
+        self._positions: Optional[Dict[int, int]] = None
+        self._mc_ranks: Optional[Dict[int, Tuple[int, int]]] = None
         self._deps = DependencyGraph()
         self._dirty: Set[tuple] = set()
         self._elements: Dict[int, Element] = {}
+        self._element_roots: Dict[int, Element] = {}
         self._element_keys: Dict[int, List[tuple]] = {}
         self._root_keys: Dict[int, List[tuple]] = {}
-        self._mc_counts: Dict[MetaClass, int] = {}
-        self._mc_keys: Dict[MetaClass, List[tuple]] = {}
+        # (root, metaclass) -> element count / metaclass-target lint unit
+        # keys: the batch linter collects metaclass targets per root
+        self._mc_counts: Dict[Tuple[Element, MetaClass], int] = {}
+        self._mc_keys: Dict[Tuple[Element, MetaClass], List[tuple]] = {}
         self._external: Dict[int, Element] = {}
         self._roots_snapshot: Tuple[Element, ...] = ()
         self._structure_dirty = True
@@ -359,25 +411,21 @@ class IncrementalEngine:
         keys.append(key)
 
     def _drop_unit(self, key: tuple) -> None:
-        self._units.pop(key, None)
-        self._results.pop(key, None)
+        unit = self._units.pop(key, None)
+        if unit is not None:
+            self._store(key, unit, ())
         self._deps.drop(key)
         self._dirty.discard(key)
         self._quarantine.pop(key, None)
 
     def _element_invariants(self, element: Element) -> List[Any]:
+        """The registered invariants on *element*'s metaclass chain, in
+        ``validate_invariants`` order."""
         seen: Set[int] = set()
         found: List[Any] = []
-        if self.invariants:
-            for metaclass in [element.meta] + element.meta.all_superclasses():
-                for invariant in metaclass.invariants:
-                    if id(invariant) not in seen:
-                        seen.add(id(invariant))
-                        found.append(invariant)
-        for constraint_set in self.constraint_sets:
-            for invariant in constraint_set.invariants:
-                if element.meta.conforms_to(invariant.context) \
-                        and id(invariant) not in seen:
+        for metaclass in [element.meta] + element.meta.all_superclasses():
+            for invariant in metaclass.invariants:
+                if id(invariant) not in seen:
                     seen.add(id(invariant))
                     found.append(invariant)
         return found
@@ -395,13 +443,20 @@ class IncrementalEngine:
                 specs.append((rule, ConsistencyUnit))
         return specs
 
-    def _add_element(self, element: Element) -> None:
+    def _add_element(self, element: Element, root: Element) -> None:
         keys: List[tuple] = []
         if self.structural:
             self._add_unit(("struct", element), StructuralUnit(element), keys)
-        for invariant in self._element_invariants(element):
-            self._add_unit(("inv", invariant, element),
-                           InvariantUnit(invariant, element), keys)
+        if self.invariants:
+            for rank, invariant in enumerate(
+                    self._element_invariants(element)):
+                self._add_unit(("inv", invariant, rank, element),
+                               InvariantUnit(invariant, element), keys)
+        for set_index, constraint_set in enumerate(self.constraint_sets):
+            for index, invariant in enumerate(constraint_set.invariants):
+                if element.meta.conforms_to(invariant.context):
+                    self._add_unit(("con", set_index, index, element),
+                                   ConstraintUnit(invariant, element), keys)
         if self.lint or self.consistency:
             from ..uml.activities import Activity
             from ..uml.interactions import Interaction
@@ -420,36 +475,41 @@ class IncrementalEngine:
                         unit_cls(rule, element, self.config, self.registry),
                         keys)
         for metaclass in [element.meta] + element.meta.all_superclasses():
-            count = self._mc_counts.get(metaclass, 0)
-            self._mc_counts[metaclass] = count + 1
+            slot = (root, metaclass)
+            count = self._mc_counts.get(slot, 0)
+            self._mc_counts[slot] = count + 1
             if count == 0 and (self.lint or self.consistency):
                 mc_keys: List[tuple] = []
                 for rule, unit_cls in self._target_rules("metaclass"):
                     self._add_unit(
-                        ("lint", rule.name, metaclass),
-                        unit_cls(rule, metaclass, self.config, self.registry),
+                        ("lint", rule.name, metaclass, root),
+                        unit_cls(rule, metaclass, self.config, self.registry,
+                                 root),
                         mc_keys)
                 if mc_keys:
-                    self._mc_keys[metaclass] = mc_keys
+                    self._mc_keys[slot] = mc_keys
         self._element_keys[id(element)] = keys
+        self._element_roots[id(element)] = root
 
     def _remove_element(self, element_id: int, element: Element) -> None:
         for key in self._element_keys.pop(element_id, ()):
             self._drop_unit(key)
+        root = self._element_roots.pop(element_id)
         for metaclass in [element.meta] + element.meta.all_superclasses():
-            count = self._mc_counts.get(metaclass, 0) - 1
+            slot = (root, metaclass)
+            count = self._mc_counts.get(slot, 0) - 1
             if count <= 0:
-                self._mc_counts.pop(metaclass, None)
-                for key in self._mc_keys.pop(metaclass, ()):
+                self._mc_counts.pop(slot, None)
+                for key in self._mc_keys.pop(slot, ()):
                     self._drop_unit(key)
             else:
-                self._mc_counts[metaclass] = count
+                self._mc_counts[slot] = count
 
     def _add_root_units(self, root: Element) -> None:
         keys: List[tuple] = []
         if self.wellformed_rules and self._is_uml_package(root):
-            for rule in self.wellformed_rules:
-                self._add_unit(("wf", rule, root),
+            for rank, rule in enumerate(self.wellformed_rules):
+                self._add_unit(("wf", rule, rank, root),
                                WellformedUnit(rule, root), keys)
         for rule, unit_cls in self._target_rules("model"):
             self._add_unit(
@@ -467,15 +527,23 @@ class IncrementalEngine:
     def _sync_structure(self) -> None:
         self.stats.syncs += 1
         current: Dict[int, Element] = {}
+        owner: Dict[int, Element] = {}
         for root in self.model.roots:
             current[id(root)] = root
+            owner[id(root)] = root
             for element in root.all_contents():
-                current.setdefault(id(element), element)
-        for element_id in [i for i in self._elements if i not in current]:
+                if id(element) not in current:
+                    current[id(element)] = element
+                    owner[id(element)] = root
+        # an element that moved to another root is dropped and re-added,
+        # so its metaclass targets are counted under the new root
+        gone = {i for i in self._elements
+                if owner.get(i) is not self._element_roots[i]}
+        for element_id in gone:
             self._remove_element(element_id, self._elements[element_id])
         for element_id, element in current.items():
-            if element_id not in self._elements:
-                self._add_element(element)
+            if element_id not in self._elements or element_id in gone:
+                self._add_element(element, owner[element_id])
         self._elements = current
 
         old_root_ids = {id(root) for root in self._roots_snapshot}
@@ -494,6 +562,12 @@ class IncrementalEngine:
         for element_id in [i for i in self._external if i in current]:
             self._external.pop(element_id).unobserve(self._on_external_change)
         self._structure_dirty = False
+        # the walk order may have changed: re-merge every family that
+        # has findings, against fresh positions
+        self._positions = self._mc_ranks = None
+        for family, findings in self._findings.items():
+            if findings:
+                self._mark_stale(family)
 
     def _roots_changed(self) -> bool:
         roots = self.model.roots
@@ -555,7 +629,7 @@ class IncrementalEngine:
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             self._quarantine_unit(key, unit, exc, reads)
             return
-        self._results[key] = tuple(diagnostics)
+        self._store(key, unit, tuple(diagnostics))
         self._deps.set_reads(key, reads)
         self._note_external_reads(reads)
         self.stats.unit_runs += 1
@@ -573,13 +647,13 @@ class IncrementalEngine:
             2 ** min(entry.failures - 1, self._BACKOFF_CAP)
         element = getattr(unit, "element", None) \
             or getattr(unit, "target", None) or getattr(unit, "root", None)
-        self._results[key] = (Diagnostic(
+        self._store(key, unit, (Diagnostic(
             Severity.ERROR,
             element if isinstance(element, Element) else None,
             f"{unit.kind} checker raised and was quarantined "
             f"(failure {entry.failures}, retrying after revalidation "
             f"{entry.retry_at}): {entry.error}",
-            code="checker-crashed"),)
+            code="checker-crashed"),))
         # keep whatever reads happened before the crash so a relevant edit
         # can re-dirty the unit even before the backoff expires
         self._deps.set_reads(key, reads)
@@ -608,7 +682,8 @@ class IncrementalEngine:
                                  key=lambda item: -item[1].failures):
             unit = self._units.get(key)
             kind = unit.kind if unit is not None else "?"
-            out.append(f"[{kind}] {key[-1] if key else '?'}: "
+            label = getattr(unit, "target", key[-1] if key else "?")
+            out.append(f"[{kind}] {label}: "
                        f"{entry.error} (failures {entry.failures}, "
                        f"retry at pass {entry.retry_at})")
         return out
@@ -676,35 +751,145 @@ class IncrementalEngine:
 
     # -- results -----------------------------------------------------------
 
+    def _store(self, key: tuple, unit: _Unit,
+               diagnostics: Tuple[Diagnostic, ...]) -> None:
+        """Record *unit*'s latest result; only a change re-merges."""
+        findings = self._findings[unit.kind]
+        if diagnostics:
+            if findings.get(key) == diagnostics:
+                return
+            findings[key] = diagnostics
+        elif findings.pop(key, None) is None:
+            return
+        self._mark_stale(unit.kind)
+
+    def _mark_stale(self, family: str) -> None:
+        self._stale.add(family)
+        self._result = None
+        self._report = None
+
+    def _walk_positions(self) -> Dict[int, Tuple[int, int]]:
+        """Element id -> (root index, position) in the batch walk: roots
+        in order, each followed by ``all_contents()``, which is the
+        order ``_elements`` keeps."""
+        if self._positions is None:
+            root_ids = {id(root) for root in self._roots_snapshot}
+            positions: Dict[int, Tuple[int, int]] = {}
+            root = -1
+            for position, element_id in enumerate(self._elements):
+                if element_id in root_ids:
+                    root += 1
+                positions[element_id] = (root, position)
+            self._positions = positions
+        return self._positions
+
+    def _metaclass_ranks(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
+        """(root id, metaclass id) -> (root index, first-seen rank) in the
+        walk: the order ``ModelLinter._lint_root`` collects each root's
+        metaclass targets in."""
+        if self._mc_ranks is None:
+            positions = self._walk_positions()
+            ranks: Dict[Tuple[int, int], Tuple[int, int]] = {}
+            for element_id, element in self._elements.items():
+                root_id = id(self._element_roots[element_id])
+                for metaclass in ([element.meta]
+                                  + element.meta.all_superclasses()):
+                    slot = (root_id, id(metaclass))
+                    if slot not in ranks:
+                        ranks[slot] = (positions[element_id][0], len(ranks))
+            self._mc_ranks = ranks
+        return self._mc_ranks
+
+    def _batch_order(self, family: str) -> Callable[[tuple], tuple]:
+        """A sort key over *family*'s unit keys giving ``Session.check``
+        order."""
+        position = self._walk_positions()
+        if family == "structural":
+            return lambda key: position[id(key[1])]
+        if family == "invariant":
+            # ("inv", invariant, rank, element): walk, then metaclass chain
+            return lambda key: (position[id(key[3])], key[2])
+        if family == "wellformed":
+            # ("wf", rule, rank, root): roots in order, then rule order
+            return lambda key: (position[id(key[3])], key[2])
+        if family == "constraint":
+            return self._constraint_order()
+        # lint and consistency: ("lint", rule name, target) or, for a
+        # metaclass target, ("lint", rule name, metaclass, root); in
+        # ModelLinter._lint_root order — per root, target kind, then
+        # registry rule order, then target walk order
+        rule_rank = {rule.name: rank for rank, rule
+                     in enumerate(self.registry.all_rules())}
+        units = self._units
+
+        def order(key: tuple) -> tuple:
+            kind = units[key].rule.target
+            if kind == "metaclass":
+                root, rank = self._metaclass_ranks()[(id(key[3]),
+                                                      id(key[2]))]
+            else:
+                root, rank = position[id(key[2])]
+            return (root, TARGETS.index(kind), rule_rank[key[1]], rank)
+        return order
+
+    def _constraint_order(self) -> Callable[[tuple], tuple]:
+        # ("con", set index, invariant index, element).  Over a Model
+        # scope ConstraintSet.evaluate visits model.instances_of(context)
+        # per invariant; over roots it walks each root per invariant.
+        if not self._model_scope:
+            position = self._walk_positions()
+            return lambda key: (key[1], position[id(key[3])][0], key[2],
+                                position[id(key[3])][1])
+        extents: Dict[Tuple[int, int], Dict[int, int]] = {}
+
+        def order(key: tuple) -> tuple:
+            group = (key[1], key[2])
+            extent = extents.get(group)
+            if extent is None:
+                context = self.constraint_sets[key[1]].invariants[key[2]] \
+                    .context
+                extent = extents[group] = {
+                    id(element): rank for rank, element
+                    in enumerate(self.model.instances_of(context))}
+            return (key[1], key[2], extent.get(id(key[3]), len(extent)))
+        return order
+
+    def check_result(self):
+        """The merged diagnostics as a :class:`repro.session.CheckResult`,
+        byte-identical (``canonical_check_document``) to ``Session.check``
+        over the same families.
+
+        Served from cache; only families whose findings changed since the
+        last call are re-merged, by sorting that family's findings.  The
+        result is shared — treat it as read-only.
+        """
+        if self._result is None:
+            from ..session import CheckResult
+            for family in self._stale:
+                findings = self._findings[family]
+                merged: List[Diagnostic] = []
+                if findings:
+                    for key in sorted(findings,
+                                      key=self._batch_order(family)):
+                        merged.extend(findings[key])
+                self._merged[family] = merged
+            self._stale.clear()
+            self._result = CheckResult({family: self._merged.get(family, [])
+                                        for family in self.families})
+        return self._result
+
     def report(self) -> ValidationReport:
-        """The merged cached diagnostics of every unit (no recomputation)."""
-        report = ValidationReport()
-        for key in self._units:
-            report.diagnostics.extend(self._results.get(key, ()))
-        return report
+        """The merged cached diagnostics, in family then batch order (no
+        recomputation)."""
+        if self._report is None:
+            self._report = self.check_result().diagnostics
+        return ValidationReport(list(self._report))
 
     def report_by_kind(self) -> Dict[str, ValidationReport]:
         """Cached diagnostics split per checker family (unit ``kind``)."""
-        out: Dict[str, ValidationReport] = {}
-        for key, unit in self._units.items():
-            out.setdefault(unit.kind, ValidationReport()) \
-                .diagnostics.extend(self._results.get(key, ()))
-        return out
-
-    def check_result(self):
-        """Cached diagnostics as a :class:`repro.session.CheckResult`.
-
-        Unit kinds map one-to-one onto the session's checker families
-        (extra :class:`~repro.ocl.invariants.ConstraintSet` invariants
-        run as ``invariant`` units and report there), so a watching
-        client renders server-pushed documents with the same renderer a
-        batch ``Session.check`` uses.
-        """
-        from ..session import FAMILIES, CheckResult
-        kinds = self.report_by_kind()
-        return CheckResult({
-            family: list(kinds[family].diagnostics)
-            for family in FAMILIES if family in kinds})
+        return {family: ValidationReport(list(diagnostics))
+                for family, diagnostics
+                in self.check_result().by_family.items()}
 
     def unit_count(self) -> int:
         return len(self._units)

@@ -22,12 +22,16 @@ Concurrency model
   global edit lock, and serializes checks against edits per repository
   with a per-repo lock.  Readers of different repositories never contend
   with each other.
-* **Connection-scoped incremental engines.**  Each connection gets its
-  own :class:`~repro.incremental.IncrementalEngine` per repository,
-  created on first ``check`` and kept warm.  Another client's *checks*
-  never touch it, and edits to a *different* repository never invalidate
-  it — only committed edits to the same repository mark the precisely
-  affected units dirty (that is correctness, not interference).
+* **One incremental engine per repository and family selection.**  A
+  repository keeps one :class:`~repro.incremental.IncrementalEngine` per
+  resolved family selection, created by the first ``check`` or ``watch``
+  of any connection and shared, warm, by every connection.  The
+  default selection's engine lives as long as the repository; any other
+  is detached once the last connection that used it closes.  A re-check
+  costs O(edit): the units the last edits touched re-run, and the merged
+  document comes from the engine's cache.  Edits to a *different*
+  repository never invalidate it; only committed edits to the same
+  repository mark the precisely affected units dirty.
 
 Backpressure and failure isolation surface through ``repro.obs``:
 ``server.requests`` (by verb/outcome), ``server.conflicts``,
@@ -204,7 +208,8 @@ def _require_param(params: Dict[str, Any], key: str, kind: type) -> Any:
 
 
 class RepoState:
-    """One hosted repository: a session, its edit epoch, and watchers."""
+    """One hosted repository: a session, its edit epoch, its shared
+    incremental engines, and watchers."""
 
     def __init__(self, name: str, session: Session):
         self.name = name
@@ -226,6 +231,55 @@ class RepoState:
         # cache is cleared exactly on epoch bump and any connection may
         # reuse any other's document.
         self.check_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
+        # resolved family selection -> the engine every connection
+        # shares.  Keyed by selection rather than filtered out of one
+        # engine: a lint run without wellformed turns on the
+        # uml-wellformed bridge rule, so its document is not a subset.
+        self.engines: Dict[Tuple[str, ...], Any] = {}
+        # the default selection's engine lives as long as the repository;
+        # any other lives while a connection that used it is open
+        self.default_selection = session._resolve_families(None)
+        self.holders: Dict[Tuple[str, ...], set] = {}
+
+    def engine(self, selection: Tuple[str, ...],
+               conn: "ServerConnection"):
+        """The primed engine for a resolved family *selection*, created
+        on first use and held for *conn*.  Callers hold :attr:`lock`."""
+        self._reap()
+        engine = self.engines.get(selection)
+        if engine is None:
+            engine = self.engines[selection] = \
+                self.session.watch(families=selection)
+        if selection != self.default_selection:
+            self.holders.setdefault(selection, set()).add(conn)
+        return engine
+
+    def release(self) -> None:
+        """Detach the engines that only closed connections held.
+
+        Never waits for the repo lock (a failed event push closes its
+        connection while another repository's lock is held): if the
+        lock is busy, the next :meth:`engine` call reaps instead.
+        """
+        if self.lock.acquire(blocking=False):
+            try:
+                self._reap()
+            finally:
+                self.lock.release()
+
+    def _reap(self) -> None:
+        for selection, users in list(self.holders.items()):
+            users.difference_update([conn for conn in users if conn.closed])
+            if not users:
+                del self.holders[selection]
+                self.engines.pop(selection).detach()
+
+    def detach_engines(self) -> None:
+        with self.lock:
+            for engine in self.engines.values():
+                engine.detach()
+            self.engines.clear()
+            self.holders.clear()
 
     def summary(self) -> Dict[str, Any]:
         document = {
@@ -356,8 +410,11 @@ class ModelServer:
     def _disconnect(self, conn: "ServerConnection") -> None:
         with self._lock:
             self._connections.pop(conn.id, None)
-            for state in self.repos.values():
+            states = list(self.repos.values())
+            for state in states:
                 state.watchers.pop(conn.id, None)
+        for state in states:
+            state.release()
         _metrics.REGISTRY.gauge(
             "server.connections",
             help="currently open server connections").dec()
@@ -372,14 +429,15 @@ class ModelServer:
                     state.wal.flush()
 
     def shutdown(self) -> None:
-        """Close every connection (detaching their engines) and every
-        write-ahead log."""
+        """Close every connection, detach every repository's engines and
+        close every write-ahead log."""
         with self._lock:
             connections = list(self._connections.values())
             states = list(self.repos.values())
         for conn in connections:
             conn.cleanup()
         for state in states:
+            state.detach_engines()
             if state.wal is not None:
                 with state.lock:
                     state.wal.close()
@@ -406,7 +464,7 @@ class ModelServer:
 
 
 class ServerConnection:
-    """One client: per-repo incremental engines, watches, FIFO dispatch."""
+    """One client: its watches and FIFO dispatch."""
 
     def __init__(self, server: ModelServer, conn_id: int,
                  send: Callable[[Dict[str, Any]], None]):
@@ -414,7 +472,6 @@ class ServerConnection:
         self.id = conn_id
         self._send = send
         self._send_lock = threading.Lock()
-        self.engines: Dict[str, Any] = {}        # repo name -> engine
         self.watching: Dict[str, Dict[str, Any]] = {}
         self.closed = False
         self._deadline: Optional[float] = None   # monotonic, per request
@@ -528,13 +585,13 @@ class ServerConnection:
             {"verb": verb, "replayable": True})
 
     def cleanup(self) -> None:
-        """Detach engines and watches; idempotent (EOF and close verb)."""
+        """Drop this connection's watches and engine holds; idempotent
+        (EOF and close verb).  Every repository's default-selection
+        engine stays attached, and so does any other that a still-open
+        connection holds."""
         if self.closed:
             return
         self.closed = True
-        for engine in self.engines.values():
-            engine.detach()
-        self.engines.clear()
         self.watching.clear()
         self.server._disconnect(self)
 
@@ -568,6 +625,19 @@ class ServerConnection:
     def _repo_param(self, params: Dict[str, Any]) -> RepoState:
         return self.server.repo(self._require(params, "repo", str))
 
+    @staticmethod
+    def _selection(state: RepoState, families: Any) -> Tuple[str, ...]:
+        """The resolved family selection a ``families`` param names."""
+        if families is not None and not (
+                isinstance(families, list)
+                and all(isinstance(f, str) for f in families)):
+            raise ServerError("bad-params",
+                              "'families' must be a list of family names")
+        try:
+            return state.session._resolve_families(families)
+        except ValueError as exc:
+            raise ServerError("bad-params", str(exc))
+
     # -- verbs -------------------------------------------------------------
 
     def _verb_load(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -599,24 +669,18 @@ class ServerConnection:
         return summary
 
     def _verb_check(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Family-filtered checking over this connection's warm engine."""
+        """Family-filtered checking over the repository's shared engine;
+        the document equals ``Session.check``'s."""
         state = self._repo_param(params)
         # validate before building the cache key: the key must be
         # hashable, and a bad floor must not cost a full check first
-        families = params.get("families")
-        if families is not None and not (
-                isinstance(families, list)
-                and all(isinstance(f, str) for f in families)):
-            raise ServerError("bad-params",
-                              "'families' must be a list of family names")
+        selection = self._selection(state, params.get("families"))
         severity = params.get("severity")
         if severity is not None and severity not in _SEVERITIES:
             raise ServerError("bad-params",
                               f"'severity' must be one of {_SEVERITIES} "
                               f"or null")
-        incremental = bool(params.get("incremental", True))
-        key = (tuple(families) if families is not None else None,
-               severity)
+        key = (selection, severity)
         with state.lock:
             cached = state.check_cache.get(key)
             _metrics.REGISTRY.counter(
@@ -626,41 +690,15 @@ class ServerConnection:
             if cached is not None:
                 document = dict(cached)
             else:
-                self.check_deadline()   # a full check is the costly path
-                try:
-                    if incremental:
-                        engine = self._engine(state, families)
-                        engine.revalidate()
-                        result = engine.check_result()
-                    else:
-                        result = state.session.check(families=families)
-                except ValueError as exc:
-                    raise ServerError("bad-params", str(exc))
-                document = result.filtered(severity).to_json()
+                self.check_deadline()   # priming an engine is costly
+                engine = state.engine(selection, self)
+                engine.revalidate()
+                document = engine.check_result().filtered(severity) \
+                    .to_json()
                 state.check_cache[key] = dict(document)
         document["repo"] = state.name
         document["epoch"] = state.epoch
         return document
-
-    def _engine(self, state: RepoState, families: Optional[List[str]]):
-        """This connection's engine for *state*, created on first use.
-
-        The family selection is fixed at creation (same contract as
-        ``Session.watch``); a later ``check`` with different families
-        rebuilds the engine.
-        """
-        key = state.name
-        engine = self.engines.get(key)
-        selection = tuple(families) if families is not None else None
-        if engine is not None \
-                and getattr(engine, "_server_families", None) != selection:
-            engine.detach()
-            engine = None
-        if engine is None:
-            engine = state.session.watch(families=families)
-            engine._server_families = selection
-            self.engines[key] = engine
-        return engine
 
     def _verb_edit_txn(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One atomic, epoch-guarded batch of edits."""
@@ -740,7 +778,7 @@ class ServerConnection:
             spec = conn.watching.get(state.name)
             if spec is None:
                 continue
-            engine = conn._engine(state, spec.get("families"))
+            engine = state.engine(spec["selection"], conn)
             engine.revalidate()
             result = engine.check_result()
             if spec.get("severity") is not None:
@@ -762,15 +800,11 @@ class ServerConnection:
             self.watching.pop(state.name, None)
             state.watchers.pop(self.id, None)
             return {"repo": state.name, "watching": False}
-        families = params.get("families")
-        if families is not None and not isinstance(families, list):
-            raise ServerError("bad-params",
-                              "'families' must be a list of family names")
-        spec = {"families": families,
+        spec = {"selection": self._selection(state, params.get("families")),
                 "severity": params.get("severity"),
                 "full": bool(params.get("full", False))}
         with state.lock:
-            engine = self._engine(state, families)   # prime the warm state
+            engine = state.engine(spec["selection"], self)   # prime
             engine.revalidate()
             self.watching[state.name] = spec
             state.watchers[self.id] = self
@@ -781,14 +815,15 @@ class ServerConnection:
 
     def _verb_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Server-wide stats; with ``repo``, that session's stats dict
-        (a passthrough of :meth:`repro.session.Session.stats`) plus this
-        connection's engine/quarantine state."""
+        (a passthrough of :meth:`repro.session.Session.stats`) plus the
+        engine/quarantine state of the repository's default-selection
+        engine, once a check or watch has built it."""
         if "repo" in params:
             state = self._repo_param(params)
             with state.lock:
                 document = state.session.stats()
+                engine = state.engines.get(state.default_selection)
             document["server"] = state.summary()
-            engine = self.engines.get(state.name)
             if engine is not None:
                 document["engine"] = {
                     "units": engine.unit_count(),

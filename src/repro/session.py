@@ -406,7 +406,9 @@ class Session:
         Returns a primed :class:`~repro.incremental.IncrementalEngine`
         restricted to the requested families; after each model edit,
         ``engine.revalidate()`` re-runs only the (check, element) units
-        whose recorded read set the edit touched.
+        whose recorded read set the edit touched, and
+        ``engine.check_result()`` is then byte-identical (under
+        :func:`canonical_check_document`) to ``check(families)``.
         """
         from .incremental.engine import IncrementalEngine
         selected = self._resolve_families(families)
@@ -425,6 +427,9 @@ class Session:
             consistency="consistency" in selected,
             registry=self.registry,
             config=self.lint_config)
+        # list exactly the batch selection, e.g. ``constraint`` even
+        # when the session has no constraint sets to run
+        engine.families = selected
         engine.revalidate()
         return engine
 

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.incremental import IncrementalEngine
 from repro.server import (
     InProcessClient,
     ModelServer,
@@ -19,7 +20,7 @@ from repro.server import (
     VERBS,
     serve_tcp,
 )
-from repro.session import Session
+from repro.session import Session, canonical_check_document
 
 
 @pytest.fixture
@@ -45,6 +46,18 @@ def named_eids(state, limit=None):
             if feature is not None and not feature.many:
                 out.append(element.eid)
     return out[:limit] if limit else out
+
+
+def repo_engine(state):
+    """The repository's shared engine for the default family selection."""
+    return state.engines[state.default_selection]
+
+
+def engine_observers(state):
+    """The incremental engines observing the repository's model."""
+    return [observer for observer in state.model._observers
+            if isinstance(getattr(observer, "__self__", None),
+                          IncrementalEngine)]
 
 
 def rename_op(eid, new_name):
@@ -387,13 +400,13 @@ class TestEditTxn:
 
 class TestIsolation:
     def test_other_repo_edits_never_invalidate_my_engine(self, server):
-        host_corpus(server, "alpha", size=60, seed=4)
+        alpha = host_corpus(server, "alpha", size=60, seed=4)
         beta = host_corpus(server, "beta", size=60, seed=5)
         reader = InProcessClient(server)
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            engine = reader._conn.engines["alpha"]
+            engine = repo_engine(alpha)
             baseline = engine.stats.invalidations
             editor.request(
                 "edit-txn", repo="beta", base_epoch=0,
@@ -404,31 +417,106 @@ class TestIsolation:
             reader.close()
             editor.close()
 
-    def test_other_clients_checks_never_touch_my_engine(self, server):
-        host_corpus(server, "alpha", size=60, seed=4)
+    def test_connections_share_the_repo_engine(self, server):
+        state = host_corpus(server, "alpha", size=60, seed=4)
         first = InProcessClient(server)
         second = InProcessClient(server)
         try:
             first.request("check", repo="alpha")
-            mine = first._conn.engines["alpha"]
-            baseline = (mine.stats.revalidations, mine.stats.unit_runs)
+            engine = repo_engine(state)
+            baseline = (engine.stats.revalidations, engine.stats.unit_runs)
             for _ in range(3):
                 second.request("check", repo="alpha")
             # identical same-epoch checks are served from the repo's
-            # check cache: the second client never even builds an
-            # engine, let alone touches mine
-            assert "alpha" not in second._conn.engines
-            assert (mine.stats.revalidations,
-                    mine.stats.unit_runs) == baseline
-            # a differently-parameterized check does build its own
+            # check cache: the engine is not even revalidated
+            assert (engine.stats.revalidations,
+                    engine.stats.unit_runs) == baseline
+            # a differently-parameterized check misses the check cache
+            # but reads the same engine, and re-runs no unit
             second.request("check", repo="alpha", severity="error")
-            theirs = second._conn.engines["alpha"]
-            assert theirs is not mine
-            assert (mine.stats.revalidations,
-                    mine.stats.unit_runs) == baseline
+            assert len(state.engines) == 1
+            assert repo_engine(state) is engine
+            assert engine.stats.revalidations == baseline[0] + 1
+            assert engine.stats.unit_runs == baseline[1]
         finally:
             first.close()
             second.close()
+
+    def test_closing_a_connection_keeps_the_shared_engine(self, server):
+        state = host_corpus(server, "alpha", size=60, seed=4)
+        first = InProcessClient(server)
+        second = InProcessClient(server)
+        try:
+            first.request("check", repo="alpha")
+            engine = repo_engine(state)
+            first.close()
+            second.request(
+                "edit-txn", repo="alpha", base_epoch=0,
+                ops=[rename_op(named_eids(state, 1)[0], "AfterClose")])
+            runs = engine.stats.unit_runs
+            document = second.request("check", repo="alpha")
+            assert repo_engine(state) is engine
+            assert engine.stats.unit_runs > runs      # the edit re-ran
+            assert document.pop("epoch") == 1
+            document.pop("repo")
+            assert canonical_check_document(document) == \
+                canonical_check_document(state.session.check().to_json())
+        finally:
+            second.close()
+
+    def test_shutdown_detaches_every_engine(self):
+        server = ModelServer()
+        state = host_corpus(server, "alpha", size=60, seed=4)
+        client = InProcessClient(server)
+        client.request("check", repo="alpha")
+        client.request("check", repo="alpha", families=["structural"])
+        assert len(state.engines) == 2
+        assert len(engine_observers(state)) == 2
+        server.shutdown()
+        assert state.engines == {}
+        # only the model's own index/column maintenance still observes
+        assert engine_observers(state) == []
+
+    def test_non_default_engine_lives_while_a_user_is_open(self, server):
+        state = host_corpus(server, "alpha", size=60, seed=4)
+        first = InProcessClient(server)
+        second = InProcessClient(server)
+        first.request("check", repo="alpha")
+        first.request("check", repo="alpha", families=["structural"])
+        second.request("check", repo="alpha", families=["structural"],
+                       severity="error")
+        structural = state.engines[("structural",)]
+        first.close()
+        assert state.engines[("structural",)] is structural
+        second.close()
+        # the last user closed: only the default engine is left, and it
+        # is the model's only engine observer
+        assert list(state.engines) == [state.default_selection]
+        assert engine_observers(state) == [repo_engine(state)._on_change]
+
+    def test_release_under_a_busy_lock_reaps_on_next_use(self, server):
+        state = host_corpus(server, "alpha", size=60, seed=4)
+        client = InProcessClient(server)
+        client.request("check", repo="alpha", families=["lint"])
+        held, done = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with state.lock:
+                held.set()
+                done.wait(10)
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        try:
+            held.wait(10)
+            client.close()          # must not wait for the repo lock
+        finally:
+            done.set()
+            holder.join(10)
+        assert ("lint",) in state.engines
+        with InProcessClient(server) as other:
+            other.request("check", repo="alpha")
+        assert list(state.engines) == [state.default_selection]
+        assert len(engine_observers(state)) == 1
 
     def test_same_repo_edit_invalidates_precisely(self, server):
         state = host_corpus(server, "alpha", size=60, seed=4)
@@ -436,7 +524,7 @@ class TestIsolation:
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            engine = reader._conn.engines["alpha"]
+            engine = repo_engine(state)
             editor.request(
                 "edit-txn", repo="alpha", base_epoch=0,
                 ops=[rename_op(named_eids(state, 1)[0], "AlphaEdit")])

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.incremental import IncrementalEngine
 from repro.server import (
     InProcessClient,
     ModelServer,
@@ -416,21 +417,22 @@ class TestDeadlines:
 
 @pytest.fixture
 def slow_check(monkeypatch):
-    """Make every check verb sleep, so inflight queues actually fill."""
-    original = Session.check
+    """Make every engine revalidation (each cache-missing check verb)
+    sleep, so inflight queues actually fill."""
+    original = IncrementalEngine.revalidate
 
     def slow(self, *args, **kwargs):
         time.sleep(0.25)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Session, "check", slow)
+    monkeypatch.setattr(IncrementalEngine, "revalidate", slow)
     return slow
 
 
 def _raw_frames(sock, count, verb="check", repo="main"):
     payload = b"".join(
         (json.dumps({"id": i + 1, "verb": verb,
-                     "params": {"repo": repo, "incremental": False}})
+                     "params": {"repo": repo}})
          + "\n").encode()
         for i in range(count))
     sock.sendall(payload)

@@ -11,11 +11,13 @@ diagnostic multiset identical to what the family's building block
 import pytest
 
 from repro.analysis import ModelLinter
-from repro.generate import demo_generator, uml_generator
+from repro.generate import (EditFuzzer, demo_generator, generate_model,
+                            uml_generator)
 from repro.incremental import report_signature
 from repro.mof import Model
 from repro.mof.validate import ValidationReport, validate_tree
-from repro.session import DEFAULT_FAMILIES, FAMILIES, CheckResult, Session
+from repro.session import (DEFAULT_FAMILIES, FAMILIES, CheckResult, Session,
+                           canonical_check_document)
 from repro.uml import Clazz
 from repro.uml.wellformed import run_wellformed_rules
 
@@ -102,15 +104,149 @@ class TestParity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_watch_matches_batch_check(self, seed):
-        # the incremental view agrees with the batch view per family
+        # the incremental document is the batch document, byte for byte
         root = uml_generator(seed).generate(40)
         session = Session(root)
         engine = session.watch()
         try:
-            incremental = engine.revalidate()
-            batch = session.check()
-            assert report_signature(incremental) == \
-                report_signature(batch.as_validation_report())
+            engine.revalidate()
+            _assert_batch_document(engine, session)
+        finally:
+            engine.detach()
+
+
+def _assert_batch_document(engine, session, families=None, where=""):
+    """Fail unless the engine's document is ``session.check``'s, byte for
+    byte; the message names the first differing offset (a plain ``==``
+    on two large documents makes pytest diff them for minutes)."""
+    got = canonical_check_document(engine.check_result().to_json())
+    want = canonical_check_document(session.check(families).to_json())
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        start = max(at - 60, 0)
+        pytest.fail(f"{where}: engine document differs from Session.check "
+                    f"at offset {at}:\n  engine: {got[start:at + 100]!r}"
+                    f"\n  batch:  {want[start:at + 100]!r}")
+
+
+class TestEngineDocument:
+    """The oracle: an engine's check document equals ``Session.check``'s
+    byte for byte (``canonical_check_document``) after priming and after
+    every step of a fuzzed edit script — every selected family listed,
+    each in batch order."""
+
+    @pytest.mark.parametrize("package", ["demo", "uml"])
+    @pytest.mark.parametrize("seed", [0, 21])
+    def test_generated_corpus_over_fuzzed_edits(self, package, seed):
+        generated = generate_model(package, size=2000, seed=seed)
+        session = Session(generated.model)
+        engine = session.watch()
+        fuzzer = EditFuzzer(generated.root, seed=seed,
+                            generator=generated.generator)
+        try:
+            _assert_batch_document(engine, session, where="after priming")
+            for step in range(20):
+                edit = fuzzer.random_edit()
+                engine.revalidate()
+                _assert_batch_document(engine, session,
+                                       where=f"step {step}: {edit}")
+        finally:
+            engine.detach()
+
+    @pytest.mark.parametrize("families", [
+        None, ("lint",), ("invariant", "constraint"),
+        ("wellformed", "consistency"), ("constraint",)])
+    @pytest.mark.parametrize("scope", ["model", "root"])
+    def test_selections_and_constraint_sets(self, families, scope):
+        generator = uml_generator(7)
+        root = generator.generate(80)
+        session = Session(_as_model(root) if scope == "model" else root,
+                          constraint_sets=[_constraint_set()])
+        engine = session.watch(families)
+        fuzzer = EditFuzzer(root, seed=7, generator=generator)
+        try:
+            for step in range(12):
+                engine.revalidate()
+                _assert_batch_document(engine, session, families,
+                                       where=f"step {step}")
+                fuzzer.random_edit()
+        finally:
+            engine.detach()
+
+    def test_metaclass_targets_run_per_root(self):
+        # ModelLinter._lint_root collects metaclass targets per root, so
+        # two roots sharing a metaclass lint it twice (OCL101 from an
+        # ill-typed invariant, XD006 from an unsatisfiable one); the
+        # engine must too, also after an element moves between roots
+        # and after a root leaves
+        from repro.mof.dynamic import (add_attribute, add_reference,
+                                       define_class, define_package)
+        from repro.mof.types import M_0N, MInteger
+        from repro.ocl.invariants import invariant
+        package = define_package("multiroot", "urn:test:multiroot")
+        node = define_class(package, "Node")
+        leaf = define_class(package, "Leaf")
+        add_attribute(node, "x", MInteger)
+        add_attribute(leaf, "y", MInteger)
+        add_reference(node, "kids", leaf, containment=True,
+                      multiplicity=M_0N)
+        invariant(node, "ill-typed", "self.nonexistent > 0")
+        invariant(leaf, "never", "self.y > 5 and self.y < 2")
+        first = node.instantiate(x=1)
+        second = node.instantiate(x=2)
+        kid = leaf.instantiate(y=1)
+        first.eget("kids").append(kid)
+        model = Model("urn:multiroot")
+        model.add_root(first)
+        model.add_root(second)
+        session = Session(model)
+        families = list(DEFAULT_FAMILIES) + ["consistency"]
+        engine = session.watch(families)
+        try:
+            engine.revalidate()
+            _assert_batch_document(engine, session, families, "primed")
+            lint = [d.code for d in engine.check_result().by_family["lint"]]
+            assert lint.count("OCL001") == 2
+            second.eget("kids").append(kid)      # moves kid across roots
+            engine.revalidate()
+            _assert_batch_document(engine, session, families, "moved")
+            model.remove_root(first)
+            engine.revalidate()
+            _assert_batch_document(engine, session, families, "dropped")
+        finally:
+            engine.detach()
+
+    def test_empty_selected_families_are_listed(self):
+        root = demo_generator(2).generate(30)
+        session = Session(root)
+        engine = session.watch(("wellformed", "constraint"))
+        try:
+            assert engine.check_result().families == \
+                ("wellformed", "constraint")
+            assert session.check(("wellformed", "constraint")).families == \
+                ("wellformed", "constraint")
+        finally:
+            engine.detach()
+
+    def test_clean_rerun_keeps_the_cached_result(self):
+        root = uml_generator(3).generate(60)
+        session = Session(root)
+        engine = session.watch()
+        try:
+            first = engine.check_result()
+            assert engine.check_result() is first
+            # renaming a class no finding mentions re-runs the units that
+            # read its name, all of which stay clean: the merged result
+            # stays cached
+            paths = {d.path for d in first.diagnostics}
+            clazz = next(e for e in root.all_contents()
+                         if isinstance(e, Clazz) and e.name
+                         and not any(e.name in path for path in paths))
+            clazz.eset("name", "RenamedWithoutFindings")
+            engine.revalidate()
+            assert engine.stats.last_rerun > 0
+            assert engine.check_result() is first
         finally:
             engine.detach()
 
