@@ -79,7 +79,7 @@ def test_e18_incremental_speedup():
     sizes = SIZES[:-1] if len(SIZES) > 2 else SIZES   # cap scratch cost
     for size in sizes:
         model = make_interacting_pim(size).model
-        engine = IncrementalEngine(model, consistency=True)
+        engine = IncrementalEngine(model)
         engine.revalidate()
         n_elements = 1 + sum(1 for _ in model.all_contents())
 
@@ -123,7 +123,7 @@ def test_e18_edit_cost_flat_in_model_size():
     reruns = []
     for size in SIZES if QUICK else SIZES[:-1]:
         model = make_interacting_pim(size).model
-        engine = IncrementalEngine(model, consistency=True)
+        engine = IncrementalEngine(model)
         engine.revalidate()
         rng = random.Random(42)
         worst = 0

@@ -24,6 +24,7 @@ import os
 import threading
 import time
 
+from repro.incremental import IncrementalEngine
 from repro.server import InProcessClient, ModelServer, RemoteError
 from repro.session import Session
 
@@ -141,8 +142,7 @@ def test_e20_concurrent_editors_throughput_and_tail():
 
 
 def _repo_engine(server, name):
-    state = server.repo(name)
-    return state.engines[state.session._resolve_families(None)]
+    return server.repo(name).engine
 
 
 def test_e20_shared_engine_and_cross_repo_isolation():
@@ -184,8 +184,11 @@ def test_e20_shared_engine_and_cross_repo_isolation():
         assert not engine._dirty
         # per-repository: every editor connection checked through the
         # busy repository's one shared engine
-        engines = server.repo("busy").engines
-        assert list(engines.values()) == [_repo_engine(server, "busy")]
+        engines = [observer.__self__
+                   for observer in server.repo("busy").model._observers
+                   if isinstance(getattr(observer, "__self__", None),
+                                 IncrementalEngine)]
+        assert engines == [_repo_engine(server, "busy")]
         print(f"  {len(editors)} editor connections -> "
               f"{len(engines)} shared warm engine per repository")
     finally:

@@ -64,7 +64,6 @@ from . import rules_consistency    # noqa: E402,F401
 from . import rules_ocl            # noqa: E402,F401
 from . import rules_statemachine   # noqa: E402,F401
 from . import rules_transform      # noqa: E402,F401
-from . import rules_wellformed     # noqa: E402,F401
 
 from .rules_ocl import ClassifierView, uml_type_to_ocl  # noqa: E402
 from .rules_statemachine import (  # noqa: E402

@@ -131,7 +131,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 #: rule families `python -m repro lint --families` accepts
-_LINT_FAMILIES = ("lint", "consistency")
+_LINT_FAMILIES = ("wellformed", "lint", "consistency")
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -783,8 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat warnings as failures")
     p.add_argument("--families", metavar="LIST", default="lint",
                    help="comma-separated rule families to run: any of "
-                        "lint,consistency (default lint; consistency = "
-                        "the cross-diagram XD rules)")
+                        "wellformed,lint,consistency (default lint; "
+                        "wellformed = the UML well-formedness rules, "
+                        "consistency = the cross-diagram XD rules)")
     p.add_argument("--list-rules", action="store_true",
                    help="list registered rules and exit")
     p.set_defaults(fn=cmd_lint)

@@ -17,14 +17,21 @@ cheap traversal compared to checking), creates units for elements that
 entered the scope and drops units for elements that left.
 
 The unit decomposition mirrors the batch checkers exactly —
-``validate_tree`` (structure + registered invariants),
-``uml.wellformed.run_wellformed_rules``, ``analysis.ModelLinter`` (which
-takes metaclass targets per root, so a metaclass-target lint unit is a
+``validate_tree`` (structure + registered invariants), the
+``uml.wellformed`` rule set, ``analysis.ModelLinter`` (which takes
+metaclass targets per root, so a metaclass-target lint unit is a
 (rule, metaclass, root) triple) and ``ConstraintSet.evaluate`` — so
 that an engine's merged report is diagnostic-for-diagnostic equal to a
 from-scratch run; the property
 suite in ``tests/test_incremental_properties.py`` holds that equality
 over thousands of random edits.
+
+The engine takes its *families* in ``Session``'s vocabulary, and each
+family's units depend only on the model, the registry and the lint
+config — never on which other families are selected.  So one engine
+over every family answers any selection by slicing
+:meth:`IncrementalEngine.check_result`'s ``by_family``; the model
+server keeps exactly one engine per repository that way.
 
 Merged results cost O(edit), not O(units).  The engine keeps diagnostics
 only for units whose last result was non-empty, per family, and caches
@@ -252,59 +259,41 @@ class IncrementalEngine:
     element, or a sequence of roots (the latter two are wrapped in a
     private model so that element notifications reach the engine).
 
-    Checker families are opt-out: structural validation, registered
-    metaclass invariants, extra :class:`~repro.ocl.invariants.ConstraintSet`
-    groups, UML well-formedness rules (skipped for roots that are not UML
-    packages) and the lint registry.  When both well-formedness and lint
-    are active, the default lint config disables the ``uml-wellformed``
-    meta-rule — same de-duplication as
-    ``validation.report.build_quality_report``.
-    The cross-diagram ``consistency`` family (the ``XD`` rules) is opt-in
-    via ``consistency=True`` and runs as its own unit kind, so
-    :meth:`report_by_kind` keeps the families separate.  Constraint-set
-    invariants run as ``constraint`` units.  Unit kinds are the session's
-    checker families, and :attr:`families` lists the ones
-    :meth:`check_result` reports (every one, even when it is empty).
+    *families* is a selection in :class:`~repro.session.Session`'s
+    vocabulary — structural validation, registered metaclass invariants,
+    UML well-formedness rules (skipped for roots that are not UML
+    packages), the lint registry, the cross-diagram ``XD`` rules and the
+    *constraint_sets* groups — resolved as ``Session.check`` resolves
+    it (``None``: every family but ``constraint``, which joins when
+    there are constraint sets).  Each family runs as its own unit kind,
+    and :attr:`families` lists the ones :meth:`check_result` reports
+    (every one, even when it is empty).
     """
 
     def __init__(self, scope: Scope, *,
-                 structural: bool = True,
-                 invariants: bool = True,
+                 families: Optional[Iterable[str]] = None,
                  constraint_sets: Iterable[Any] = (),
-                 wellformed: bool = True,
-                 wellformed_rules: Optional[Iterable[Any]] = None,
-                 lint: bool = True,
-                 consistency: bool = False,
                  registry: Optional[RuleRegistry] = None,
                  config: Optional[LintConfig] = None):
+        from ..session import FAMILIES, resolve_families
         self.model = self._resolve_scope(scope)
         self._model_scope = isinstance(scope, Model)
-        self.structural = structural
-        self.invariants = invariants
-        self.constraint_sets = list(constraint_sets)
-        if wellformed_rules is not None:
-            self.wellformed_rules = list(wellformed_rules)
-        elif wellformed:
-            from ..uml.wellformed import ALL_RULES
-            self.wellformed_rules = list(ALL_RULES)
-        else:
-            self.wellformed_rules = []
-        self.lint = lint
-        self.consistency = consistency
-        self.registry = registry or DEFAULT_REGISTRY
-        if config is None:
-            config = LintConfig(disabled={"uml-wellformed"}
-                                if self.wellformed_rules else set())
-        self.config = config
-        from ..session import FAMILIES
+        constraint_sets = list(constraint_sets)
         #: the families :meth:`check_result` lists, in report order
-        #: (``Session.watch`` sets it to the resolved selection)
-        self.families: Tuple[str, ...] = tuple(
-            family for family, on in zip(FAMILIES, (
-                structural, invariants,
-                wellformed or wellformed_rules is not None, lint,
-                consistency, bool(self.constraint_sets)))
-            if on)
+        self.families: Tuple[str, ...] = resolve_families(
+            families, constraints=bool(constraint_sets))
+        self.structural = "structural" in self.families
+        self.invariants = "invariant" in self.families
+        self.constraint_sets = (constraint_sets
+                                if "constraint" in self.families else [])
+        self.uml_rules: List[Any] = []
+        if "wellformed" in self.families:
+            from ..uml.wellformed import ALL_RULES
+            self.uml_rules = list(ALL_RULES)
+        self.lint = "lint" in self.families
+        self.consistency = "consistency" in self.families
+        self.registry = registry or DEFAULT_REGISTRY
+        self.config = config if config is not None else LintConfig()
 
         self._units: Dict[tuple, _Unit] = {}
         # family -> {unit key: diagnostics} for non-empty results only
@@ -507,8 +496,8 @@ class IncrementalEngine:
 
     def _add_root_units(self, root: Element) -> None:
         keys: List[tuple] = []
-        if self.wellformed_rules and self._is_uml_package(root):
-            for rank, rule in enumerate(self.wellformed_rules):
+        if self.uml_rules and self._is_uml_package(root):
+            for rank, rule in enumerate(self.uml_rules):
                 self._add_unit(("wf", rule, rank, root),
                                WellformedUnit(rule, root), keys)
         for rule, unit_cls in self._target_rules("model"):
@@ -924,9 +913,3 @@ def report_signature(report: ValidationReport) -> Counter:
     """Order-insensitive multiset signature of a report's diagnostics."""
     return Counter(diagnostic_key(d) for d in report.diagnostics)
 
-
-def watch(scope: Scope, **kwargs: Any) -> IncrementalEngine:
-    """Create an engine over *scope* and prime its caches."""
-    engine = IncrementalEngine(scope, **kwargs)
-    engine.revalidate()
-    return engine

@@ -21,8 +21,9 @@ close      watch teardown for one connection
 
 Isolation is optimistic: every repository carries an *edit epoch*, a
 stale ``edit-txn`` is rejected with a replayable ``conflict`` error,
-and each repository keeps one warm incremental engine per family
-selection, shared by every connection.  See :mod:`repro.server.dispatch`
+and each repository keeps one warm incremental engine over every
+family, shared by every connection and sliced per ``families``
+selection.  See :mod:`repro.server.dispatch`
 for the concurrency model and :mod:`repro.server.protocol` for the wire
 contract.
 

@@ -22,16 +22,17 @@ Concurrency model
   global edit lock, and serializes checks against edits per repository
   with a per-repo lock.  Readers of different repositories never contend
   with each other.
-* **One incremental engine per repository and family selection.**  A
-  repository keeps one :class:`~repro.incremental.IncrementalEngine` per
-  resolved family selection, created by the first ``check`` or ``watch``
-  of any connection and shared, warm, by every connection.  The
-  default selection's engine lives as long as the repository; any other
-  is detached once the last connection that used it closes.  A re-check
-  costs O(edit): the units the last edits touched re-run, and the merged
-  document comes from the engine's cache.  Edits to a *different*
-  repository never invalidate it; only committed edits to the same
-  repository mark the precisely affected units dirty.
+* **One incremental engine per repository.**  A repository keeps one
+  :class:`~repro.incremental.IncrementalEngine` over every checker
+  family, created by the first ``check`` or ``watch`` of any connection
+  and shared, warm, by every connection for the repository's lifetime.
+  A family's diagnostics do not depend on which other families are
+  selected, so any ``families`` selection is a slice of that engine's
+  result.  A re-check costs O(edit): the units the last edits touched
+  re-run, and the merged document comes from the engine's cache.
+  Edits to a *different* repository never invalidate it; only
+  committed edits to the same repository mark the precisely affected
+  units dirty.
 
 Backpressure and failure isolation surface through ``repro.obs``:
 ``server.requests`` (by verb/outcome), ``server.conflicts``,
@@ -53,7 +54,7 @@ from ..mof.txn import transaction
 from ..mof.validate import Severity
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..session import Session
+from ..session import FAMILIES, CheckResult, Session
 from . import durability as _durability
 from .protocol import (
     ProtocolError,
@@ -209,7 +210,7 @@ def _require_param(params: Dict[str, Any], key: str, kind: type) -> Any:
 
 class RepoState:
     """One hosted repository: a session, its edit epoch, its shared
-    incremental engines, and watchers."""
+    incremental engine, and watchers."""
 
     def __init__(self, name: str, session: Session):
         self.name = name
@@ -231,55 +232,26 @@ class RepoState:
         # cache is cleared exactly on epoch bump and any connection may
         # reuse any other's document.
         self.check_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        # resolved family selection -> the engine every connection
-        # shares.  Keyed by selection rather than filtered out of one
-        # engine: a lint run without wellformed turns on the
-        # uml-wellformed bridge rule, so its document is not a subset.
-        self.engines: Dict[Tuple[str, ...], Any] = {}
-        # the default selection's engine lives as long as the repository;
-        # any other lives while a connection that used it is open
-        self.default_selection = session._resolve_families(None)
-        self.holders: Dict[Tuple[str, ...], set] = {}
+        # the engine over every family that all connections share;
+        # built by the first check or watch
+        self.engine: Optional[Any] = None
 
-    def engine(self, selection: Tuple[str, ...],
-               conn: "ServerConnection"):
-        """The primed engine for a resolved family *selection*, created
-        on first use and held for *conn*.  Callers hold :attr:`lock`."""
-        self._reap()
-        engine = self.engines.get(selection)
-        if engine is None:
-            engine = self.engines[selection] = \
-                self.session.watch(families=selection)
-        if selection != self.default_selection:
-            self.holders.setdefault(selection, set()).add(conn)
-        return engine
+    def check_result(self, selection: Tuple[str, ...]) -> CheckResult:
+        """The revalidated check result for a resolved family
+        *selection*, sliced from the repository's one engine.  Callers
+        hold :attr:`lock`."""
+        if self.engine is None:
+            self.engine = self.session.watch(FAMILIES)
+        self.engine.revalidate()
+        by_family = self.engine.check_result().by_family
+        return CheckResult({family: by_family[family]
+                            for family in selection})
 
-    def release(self) -> None:
-        """Detach the engines that only closed connections held.
-
-        Never waits for the repo lock (a failed event push closes its
-        connection while another repository's lock is held): if the
-        lock is busy, the next :meth:`engine` call reaps instead.
-        """
-        if self.lock.acquire(blocking=False):
-            try:
-                self._reap()
-            finally:
-                self.lock.release()
-
-    def _reap(self) -> None:
-        for selection, users in list(self.holders.items()):
-            users.difference_update([conn for conn in users if conn.closed])
-            if not users:
-                del self.holders[selection]
-                self.engines.pop(selection).detach()
-
-    def detach_engines(self) -> None:
+    def detach_engine(self) -> None:
         with self.lock:
-            for engine in self.engines.values():
-                engine.detach()
-            self.engines.clear()
-            self.holders.clear()
+            if self.engine is not None:
+                self.engine.detach()
+                self.engine = None
 
     def summary(self) -> Dict[str, Any]:
         document = {
@@ -410,11 +382,8 @@ class ModelServer:
     def _disconnect(self, conn: "ServerConnection") -> None:
         with self._lock:
             self._connections.pop(conn.id, None)
-            states = list(self.repos.values())
-            for state in states:
+            for state in self.repos.values():
                 state.watchers.pop(conn.id, None)
-        for state in states:
-            state.release()
         _metrics.REGISTRY.gauge(
             "server.connections",
             help="currently open server connections").dec()
@@ -429,7 +398,7 @@ class ModelServer:
                     state.wal.flush()
 
     def shutdown(self) -> None:
-        """Close every connection, detach every repository's engines and
+        """Close every connection, detach every repository's engine and
         close every write-ahead log."""
         with self._lock:
             connections = list(self._connections.values())
@@ -437,7 +406,7 @@ class ModelServer:
         for conn in connections:
             conn.cleanup()
         for state in states:
-            state.detach_engines()
+            state.detach_engine()
             if state.wal is not None:
                 with state.lock:
                     state.wal.close()
@@ -585,10 +554,9 @@ class ServerConnection:
             {"verb": verb, "replayable": True})
 
     def cleanup(self) -> None:
-        """Drop this connection's watches and engine holds; idempotent
-        (EOF and close verb).  Every repository's default-selection
-        engine stays attached, and so does any other that a still-open
-        connection holds."""
+        """Drop this connection's watches; idempotent (EOF and close
+        verb).  Never takes a repo lock, and every repository's engine
+        stays attached."""
         if self.closed:
             return
         self.closed = True
@@ -690,11 +658,9 @@ class ServerConnection:
             if cached is not None:
                 document = dict(cached)
             else:
-                self.check_deadline()   # priming an engine is costly
-                engine = state.engine(selection, self)
-                engine.revalidate()
-                document = engine.check_result().filtered(severity) \
-                    .to_json()
+                self.check_deadline()   # priming the engine is costly
+                document = state.check_result(selection) \
+                    .filtered(severity).to_json()
                 state.check_cache[key] = dict(document)
         document["repo"] = state.name
         document["epoch"] = state.epoch
@@ -778,9 +744,7 @@ class ServerConnection:
             spec = conn.watching.get(state.name)
             if spec is None:
                 continue
-            engine = state.engine(spec["selection"], conn)
-            engine.revalidate()
-            result = engine.check_result()
+            result = state.check_result(spec["selection"])
             if spec.get("severity") is not None:
                 result = result.filtered(spec["severity"])
             document = result.to_json() if spec.get("full") else {
@@ -804,11 +768,9 @@ class ServerConnection:
                 "severity": params.get("severity"),
                 "full": bool(params.get("full", False))}
         with state.lock:
-            engine = state.engine(spec["selection"], self)   # prime
-            engine.revalidate()
+            result = state.check_result(spec["selection"])   # prime
             self.watching[state.name] = spec
             state.watchers[self.id] = self
-            result = engine.check_result()
         return {"repo": state.name, "watching": True, "epoch": state.epoch,
                 "errors": len(result.errors),
                 "warnings": len(result.warnings)}
@@ -816,13 +778,13 @@ class ServerConnection:
     def _verb_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Server-wide stats; with ``repo``, that session's stats dict
         (a passthrough of :meth:`repro.session.Session.stats`) plus the
-        engine/quarantine state of the repository's default-selection
-        engine, once a check or watch has built it."""
+        engine/quarantine state of the repository's engine, once a
+        check or watch has built it."""
         if "repo" in params:
             state = self._repo_param(params)
             with state.lock:
                 document = state.session.stats()
-                engine = state.engines.get(state.default_selection)
+                engine = state.engine
             document["server"] = state.summary()
             if engine is not None:
                 document["engine"] = {

@@ -53,6 +53,25 @@ DEFAULT_FAMILIES: Tuple[str, ...] = (
 _SEVERITY_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
 
 
+def resolve_families(families: Optional[Iterable[str]], *,
+                     constraints: bool) -> Tuple[str, ...]:
+    """The family selection *families* names, in report order.
+
+    ``None`` selects :data:`DEFAULT_FAMILIES`, plus ``constraint`` when
+    there are constraint sets to run (*constraints*); an explicit list
+    is deduplicated and put in :data:`FAMILIES` order.
+    """
+    if families is None:
+        return DEFAULT_FAMILIES + (("constraint",) if constraints else ())
+    requested = tuple(families)
+    unknown = [f for f in requested if f not in FAMILIES]
+    if unknown:
+        raise ValueError(
+            f"unknown checker families {unknown}; "
+            f"expected a subset of {list(FAMILIES)}")
+    return tuple(f for f in FAMILIES if f in requested)
+
+
 def _as_severity(severity: Union[str, Severity, None]) -> Optional[Severity]:
     if severity is None or isinstance(severity, Severity):
         return severity
@@ -256,11 +275,7 @@ class Session:
             for family in selected:
                 with (_trace.span(f"session.check.{family}")
                       if _trace.ON else _trace.NULL_SPAN):
-                    if family == "lint":
-                        by_family[family] = self._check_lint(selected)
-                    else:
-                        by_family[family] = getattr(
-                            self, f"_check_{family}")()
+                    by_family[family] = getattr(self, f"_check_{family}")()
         result = CheckResult(by_family)
         if _trace.ON:
             for family in selected:
@@ -277,19 +292,8 @@ class Session:
     def _resolve_families(self,
                           families: Optional[Iterable[str]]
                           ) -> Tuple[str, ...]:
-        if families is None:
-            selected = DEFAULT_FAMILIES + (
-                ("constraint",) if self.constraint_sets else ())
-        else:
-            requested = tuple(families)
-            unknown = [f for f in requested if f not in FAMILIES]
-            if unknown:
-                raise ValueError(
-                    f"unknown checker families {unknown}; "
-                    f"expected a subset of {list(FAMILIES)}")
-            # report in canonical order, ignoring duplicates
-            selected = tuple(f for f in FAMILIES if f in requested)
-        return selected
+        return resolve_families(families,
+                                constraints=bool(self.constraint_sets))
 
     def _active_column_store(self) -> Optional[Any]:
         """The model's column store when its fast paths may be used:
@@ -360,14 +364,8 @@ class Session:
                 out.extend(run_wellformed_rules(root).diagnostics)
         return out
 
-    def _check_lint(self, selected: Tuple[str, ...] = ()
-                    ) -> List[Diagnostic]:
-        config = self.lint_config
-        if config is None and "wellformed" in selected:
-            # the wellformed family already reports the uml-* rules;
-            # don't let lint's bundled bridge rule repeat them
-            config = LintConfig(disabled={"uml-wellformed"})
-        linter = ModelLinter(self.registry, config)
+    def _check_lint(self) -> List[Diagnostic]:
+        linter = ModelLinter(self.registry, self.lint_config)
         return list(linter.lint(*self.model.roots).diagnostics)
 
     def _check_consistency(self) -> List[Diagnostic]:
@@ -399,8 +397,7 @@ class Session:
 
     # -- incremental checking ----------------------------------------------
 
-    def watch(self, families: Optional[Iterable[str]] = None, *,
-              wellformed_rules: Optional[Iterable[Any]] = None):
+    def watch(self, families: Optional[Iterable[str]] = None):
         """An incrementally maintained :meth:`check` over this scope.
 
         Returns a primed :class:`~repro.incremental.IncrementalEngine`
@@ -411,25 +408,12 @@ class Session:
         :func:`canonical_check_document`) to ``check(families)``.
         """
         from .incremental.engine import IncrementalEngine
-        selected = self._resolve_families(families)
-        wellformed = "wellformed" in selected
         engine = IncrementalEngine(
             self.scope,
-            structural="structural" in selected,
-            invariants="invariant" in selected,
-            constraint_sets=(self.constraint_sets
-                             if "constraint" in selected else ()),
-            wellformed=wellformed,
-            wellformed_rules=(list(wellformed_rules)
-                              if wellformed_rules is not None and wellformed
-                              else None),
-            lint="lint" in selected,
-            consistency="consistency" in selected,
+            families=families,
+            constraint_sets=self.constraint_sets,
             registry=self.registry,
             config=self.lint_config)
-        # list exactly the batch selection, e.g. ``constraint`` even
-        # when the session has no constraint sets to run
-        engine.families = selected
         engine.revalidate()
         return engine
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..analysis import LintConfig, ModelLinter
+from ..analysis import ModelLinter
 from ..method.concerns import check_domain_purity
 from ..mof.validate import ValidationReport, validate_tree
 from ..platforms.base import PlatformModel
@@ -83,15 +83,8 @@ def build_quality_report(root: Package, *,
                          include_traceability: bool = False,
                          max_coupling_density: float = 0.75,
                          max_single_operation_ratio: float = 0.5,
-                         incremental=None,
                          severity: Optional[str] = None) -> QualityReport:
     """Run every applicable model test over *root* and fold the results.
-
-    When *incremental* is a primed
-    :class:`repro.incremental.IncrementalEngine` over *root*, the
-    structural, well-formedness and lint sections are served from its
-    (freshly revalidated) caches instead of full re-walks — the metrics,
-    purity and traceability sections are cheap and always recomputed.
 
     *severity* is the shared CLI floor (``info``/``warning``/``error``):
     diagnostic lines below it are omitted from the diagnostic sections.
@@ -105,24 +98,13 @@ def build_quality_report(root: Package, *,
         if severity else 0
     report = QualityReport(root.name or "(unnamed)")
 
-    if incremental is not None:
-        incremental.revalidate()
-        kinds = incremental.report_by_kind()
-        structural = kinds.get("structural", ValidationReport())
-        structural.extend(kinds.get("invariant", ValidationReport()))
-        wellformed = kinds.get("wellformed", ValidationReport())
-        lint = kinds.get("lint", ValidationReport())
-        consistency = kinds.get("consistency", ValidationReport())
-    else:
-        structural = validate_tree(root)
-        # UML well-formedness rules apply to UML packages only (the
-        # same guard as Session._check_wellformed)
-        wellformed = (run_wellformed_rules(root) if isinstance(root, Package)
-                      else ValidationReport())
-        lint = ModelLinter(config=LintConfig(
-            disabled={"uml-wellformed"})).lint(root)
-        consistency = ModelLinter(
-            families=("consistency",)).lint(root)
+    structural = validate_tree(root)
+    # UML well-formedness rules apply to UML packages only (the same
+    # guard as Session._check_wellformed)
+    wellformed = (run_wellformed_rules(root) if isinstance(root, Package)
+                  else ValidationReport())
+    lint = ModelLinter().lint(root)
+    consistency = ModelLinter(families=("consistency",)).lint(root)
 
     report.sections.append(SectionResult(
         "structural validity", structural.ok,
@@ -134,8 +116,7 @@ def build_quality_report(root: Package, *,
     report.sections.append(SectionResult(
         "uml well-formedness", wellformed.ok, lines or ["no findings"]))
 
-    # the well-formedness section above already reports the uml-* rules;
-    # the lint section covers the behavioural/OCL analyses on top
+    # the behavioural/OCL analyses on top of well-formedness
     lines = [d.render() for d in _at_or_above(lint.errors, floor)]
     lines += [d.render() for d in _at_or_above(lint.warnings, floor)]
     report.sections.append(SectionResult(

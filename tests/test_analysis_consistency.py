@@ -28,7 +28,6 @@ from repro.generate import (
 )
 from repro.mof import add_attribute, define_class, define_package
 from repro.analysis import (
-    LintConfig,
     ModelLinter,
     compute_reachability,
     reachable_triggers,
@@ -540,7 +539,7 @@ def xd_generator(seed):
 
 
 def _batch_signature(root):
-    linter = ModelLinter(config=LintConfig(disabled={"uml-wellformed"}))
+    linter = ModelLinter()
     consistency = ModelLinter(families=("consistency",))
     return (report_signature(validate_tree(root))
             + report_signature(run_wellformed_rules(root))
@@ -550,11 +549,11 @@ def _batch_signature(root):
 
 @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
 def test_incremental_parity_with_consistency(seed):
-    """Engine with consistency=True stays multiset-equal to the batch
+    """Engine over the default families (consistency included) stays multiset-equal to the batch
     stack over fuzzed edits of interaction-bearing models."""
     generator = xd_generator(seed)
     root = generator.generate(30 + (seed % 4) * 8)
-    engine = IncrementalEngine(root, consistency=True)
+    engine = IncrementalEngine(root)
     fuzzer = EditFuzzer(root, seed=seed + 31_000, generator=generator)
     history = []
     for step in range(EDITS_PER_SEED + 1):
@@ -581,7 +580,7 @@ def test_hand_built_model_parity_over_targeted_edits():
     batch."""
     f, scenario = bank_model()
     root = f.model
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(f.model)
 
     def check():
         assert report_signature(engine.revalidate()) \
@@ -620,7 +619,7 @@ def test_single_edit_reruns_few_units():
     """A message rename re-runs only the interaction-scoped units, not
     the whole model's worth."""
     f, scenario = bank_model()
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(f.model)
     engine.revalidate()
     total = engine.unit_count()
     scenario.messages[0].name = "open"          # no-op value, real write
@@ -631,7 +630,7 @@ def test_single_edit_reruns_few_units():
 
 def test_report_by_kind_splits_families():
     f, _ = bank_model(defects=("unresolved",))
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(f.model)
     engine.revalidate()
     kinds = engine.report_by_kind()
     assert "consistency" in kinds

@@ -316,7 +316,7 @@ class TestConfig:
     def test_registry_knows_all_families(self):
         for code in ("SM001", "SM002", "SM003", "ACT001", "ACT002",
                      "ACT003", "TR001", "TR002", "TR003", "OCL101",
-                     "OCL102", "OCL103", "UML100"):
+                     "OCL102", "OCL103"):
             assert code in DEFAULT_REGISTRY
 
     def test_duplicate_code_rejected(self):

@@ -106,8 +106,32 @@ class TestLint:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SM001", "ACT001", "TR001", "OCL101", "UML100"):
+        for code in ("SM001", "ACT001", "TR001", "OCL101"):
             assert code in out
+
+    def test_wellformed_family_prints_what_check_prints(self, factory,
+                                                        tmp_path, capsys):
+        import json
+        from repro.uml import StateMachine
+        factory.clazz("Dup")
+        factory.clazz("Dup")
+        machine = StateMachine(name="sm")
+        factory.clazz("C").owned_behaviors.append(machine)
+        region = machine.main_region()
+        region.add_transition(region.add_initial(), region.add_state("Up"))
+        region.add_state("Limbo")
+        model = Model("urn:both")
+        model.add_root(factory.model)
+        path = tmp_path / "both.xmi"
+        path.write_text(write_xml(model))
+        selection = ["--families", "wellformed,lint", "--format", "json"]
+        assert main(["lint", str(path), *selection]) == 1
+        linted = capsys.readouterr().out
+        assert main(["check", str(path), *selection]) == 1
+        assert capsys.readouterr().out == linted
+        families = json.loads(linted)["families"]
+        assert list(families) == ["wellformed", "lint"]
+        assert families["wellformed"] and families["lint"]
 
     def test_missing_file(self, capsys):
         assert main(["lint", "/nonexistent.xmi"]) == 2

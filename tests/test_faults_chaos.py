@@ -219,7 +219,7 @@ def test_checker_chaos_quarantines_and_recovers(seed):
     from repro.mof.validate import validate_tree
     generator = demo_generator(seed)
     root = generator.generate(35)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(root, families=("structural", "invariant"))
     fuzzer = EditFuzzer(root, seed=seed, generator=generator)
     plan = faults.FaultPlan(seed=_plan_seed(seed), rate=0.25,
                             sites=["checker.run"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.generate import EditFuzzer, demo_generator, uml_generator
-from repro.analysis import LintConfig, ModelLinter
+from repro.analysis import ModelLinter
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof.validate import validate_tree
 from repro.uml.wellformed import run_wellformed_rules
@@ -27,6 +27,9 @@ from repro.uml.wellformed import run_wellformed_rules
 DEMO_PAIRS = 120
 UML_PAIRS = 80
 EDITS_PER_PAIR = 6
+#: the full checker stack these pairs have always covered (the engine's
+#: default selection also runs the cross-diagram consistency family)
+UML_STACK = ("structural", "invariant", "wellformed", "lint")
 
 
 def _assert_equivalent(engine, oracle, *, seed, step, history):
@@ -49,7 +52,7 @@ def test_demo_metamodel_pair(seed):
     """Structural + invariant diagnostics stay oracle-equal under edits."""
     generator = demo_generator(seed=seed)
     root = generator.generate(30 + (seed % 4) * 10)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(root, families=("structural", "invariant"))
 
     def oracle():
         return report_signature(validate_tree(root))
@@ -71,8 +74,8 @@ def test_uml_metamodel_pair(seed):
     lint) stays oracle-equal under edits to random UML models."""
     generator = uml_generator(seed=seed)
     root = generator.generate(35 + (seed % 3) * 10)
-    engine = IncrementalEngine(root)
-    linter = ModelLinter(config=LintConfig(disabled={"uml-wellformed"}))
+    engine = IncrementalEngine(root, families=UML_STACK)
+    linter = ModelLinter()
 
     def oracle():
         return (report_signature(validate_tree(root))
@@ -100,7 +103,7 @@ def test_engine_runs_fewer_units_than_scratch():
     small fraction of the units (the cache actually caches)."""
     generator = demo_generator(seed=424)
     root = generator.generate(60)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(root, families=("structural", "invariant"))
     engine.revalidate()
     total = engine.unit_count()
 
@@ -118,7 +121,7 @@ def test_incremental_matches_recompute_from_scratch():
     with the cached path — so benchmarks compare equal work."""
     generator = uml_generator(seed=99)
     root = generator.generate(45)
-    engine = IncrementalEngine(root)
+    engine = IncrementalEngine(root, families=UML_STACK)
     fuzzer = EditFuzzer(root, seed=77, generator=generator)
     engine.revalidate()
     fuzzer.apply_random_edits(4)

@@ -20,7 +20,7 @@ from repro.server import (
     VERBS,
     serve_tcp,
 )
-from repro.session import Session, canonical_check_document
+from repro.session import FAMILIES, Session, canonical_check_document
 
 
 @pytest.fixture
@@ -49,8 +49,8 @@ def named_eids(state, limit=None):
 
 
 def repo_engine(state):
-    """The repository's shared engine for the default family selection."""
-    return state.engines[state.default_selection]
+    """The repository's one shared engine."""
+    return state.engine
 
 
 def engine_observers(state):
@@ -434,7 +434,6 @@ class TestIsolation:
             # a differently-parameterized check misses the check cache
             # but reads the same engine, and re-runs no unit
             second.request("check", repo="alpha", severity="error")
-            assert len(state.engines) == 1
             assert repo_engine(state) is engine
             assert engine.stats.revalidations == baseline[0] + 1
             assert engine.stats.unit_runs == baseline[1]
@@ -470,34 +469,34 @@ class TestIsolation:
         client = InProcessClient(server)
         client.request("check", repo="alpha")
         client.request("check", repo="alpha", families=["structural"])
-        assert len(state.engines) == 2
-        assert len(engine_observers(state)) == 2
+        assert len(engine_observers(state)) == 1
         server.shutdown()
-        assert state.engines == {}
+        assert state.engine is None
         # only the model's own index/column maintenance still observes
         assert engine_observers(state) == []
 
-    def test_non_default_engine_lives_while_a_user_is_open(self, server):
+    def test_every_selection_reads_the_one_engine(self, server):
         state = host_corpus(server, "alpha", size=60, seed=4)
         first = InProcessClient(server)
         second = InProcessClient(server)
-        first.request("check", repo="alpha")
         first.request("check", repo="alpha", families=["structural"])
+        engine = repo_engine(state)
+        first.request("check", repo="alpha")
         second.request("check", repo="alpha", families=["structural"],
                        severity="error")
-        structural = state.engines[("structural",)]
+        second.request("watch", repo="alpha", families=["lint"])
         first.close()
-        assert state.engines[("structural",)] is structural
         second.close()
-        # the last user closed: only the default engine is left, and it
-        # is the model's only engine observer
-        assert list(state.engines) == [state.default_selection]
-        assert engine_observers(state) == [repo_engine(state)._on_change]
+        # closing every user leaves the engine attached: it lives as
+        # long as the repository, and is the model's only engine observer
+        assert repo_engine(state) is engine
+        assert engine_observers(state) == [engine._on_change]
 
-    def test_release_under_a_busy_lock_reaps_on_next_use(self, server):
+    def test_close_under_a_busy_lock_does_not_wait(self, server):
         state = host_corpus(server, "alpha", size=60, seed=4)
         client = InProcessClient(server)
         client.request("check", repo="alpha", families=["lint"])
+        engine = repo_engine(state)
         held, done = threading.Event(), threading.Event()
 
         def hold_lock():
@@ -509,13 +508,29 @@ class TestIsolation:
         try:
             held.wait(10)
             client.close()          # must not wait for the repo lock
+            assert holder.is_alive()
         finally:
             done.set()
             holder.join(10)
-        assert ("lint",) in state.engines
         with InProcessClient(server) as other:
             other.request("check", repo="alpha")
-        assert list(state.engines) == [state.default_selection]
+        assert repo_engine(state) is engine
+        assert len(engine_observers(state)) == 1
+
+    @pytest.mark.parametrize("families", [
+        [family] for family in FAMILIES] + [["lint", "consistency"]])
+    def test_any_selection_is_a_slice_of_the_batch_check(self, server,
+                                                         families):
+        session = Session.generate("uml", size=2000, seed=0, repair=False)
+        state = server.attach("uml", session)
+        with InProcessClient(server) as client:
+            client.request("check", repo="uml")
+            document = client.request("check", repo="uml",
+                                      families=families)
+        document.pop("repo")
+        document.pop("epoch")
+        assert canonical_check_document(document) == \
+            canonical_check_document(session.check(families).to_json())
         assert len(engine_observers(state)) == 1
 
     def test_same_repo_edit_invalidates_precisely(self, server):

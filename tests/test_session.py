@@ -270,6 +270,15 @@ class TestSessionSurface:
         with pytest.raises(ValueError, match="unknown checker"):
             Session(root).check(families=("spelling",))
 
+    @pytest.mark.parametrize("seed", (0, 21))
+    def test_lint_family_does_not_depend_on_the_selection(self, seed):
+        session = Session.generate("uml", size=2000, seed=seed,
+                                   repair=False)
+        alone = session.check(families=("lint",)).to_json()
+        together = session.check().to_json()
+        assert alone["families"]["lint"]
+        assert alone["families"]["lint"] == together["families"]["lint"]
+
     def test_family_order_is_canonical(self):
         root = uml_generator(1).generate(20)
         result = Session(root).check(families=("lint", "structural"))
